@@ -28,13 +28,13 @@ can become pseudo labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
-from .losses import LossValue, LossWeights, total_loss
-from .mathcore import NORM_EPS
+from . import losses
+from .errors import DimensionMismatch
+from .losses import LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, ScoredFeatureBatch, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
 
@@ -170,35 +170,15 @@ class TrainerConfig:
         )
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "tau": self.tau,
-            "init_threshold": self.init_threshold,
-            "pseudo_threshold": self.pseudo_threshold,
-            "regularizer": self.regularizer,
-            "enable_pce": self.enable_pce,
-            "enable_adversarial": self.enable_adversarial,
-            "ema_rate": self.ema_rate,
-            "learning_rate": self.learning_rate,
-            "warmup_steps": self.warmup_steps,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "feature_dim": self.feature_dim,
-            "augment_noise": self.augment_noise,
-            "seed": self.seed,
-        }
+        """Flat document: every field, with the loss weights as ``lambda_*`` keys."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "weights"}
         doc.update(self.weights.as_dict())
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainerConfig":
         doc = dict(doc)
-        weights = LossWeights(
-            lambda_unsup=doc.pop("lambda_unsup", 1.0),
-            lambda_dis=doc.pop("lambda_dis", 0.1),
-            lambda_pce=doc.pop("lambda_pce", 1.0),
-            lambda_mut=doc.pop("lambda_mut", 1.0),
-        )
-        return cls(weights=weights, **doc)
+        return cls(weights=LossWeights.pop_from(doc), **doc)
 
 
 @dataclass
@@ -254,51 +234,6 @@ def init_state(config: TrainerConfig, input_dim: int, class_count: int) -> Adapt
     )
     return AdaptationState(student=student, teacher=student.copy(),
                            src_protos=None, tgt_protos=None, step=0, rng=rng)
-
-
-def _batch_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _batch_softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def class_probabilities(logits: np.ndarray) -> np.ndarray:
-    """Row-wise class distribution; a single logit column yields [p, 1 - p] rows."""
-    if logits.shape[1] == 1:
-        p0 = _batch_sigmoid(logits[:, 0])
-        return np.stack([p0, 1.0 - p0], axis=1)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_probabilities(logits: np.ndarray) -> np.ndarray:
-    if logits.shape[1] == 1:
-        z = logits[:, 0]
-        return np.stack([-_batch_softplus(-z), -_batch_softplus(z)], axis=1)
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def _prob_grad_to_logit_grad(probs: np.ndarray, grad_probs: np.ndarray,
-                             logit_width: int) -> np.ndarray:
-    """Row-wise softmax VJP; for a sigmoid pair only the first column carries logits."""
-    inner = (probs * grad_probs).sum(axis=1, keepdims=True)
-    vjp = probs * (grad_probs - inner)
-    return vjp[:, :logit_width]
-
-
-def _ce_logit_grad(probs: np.ndarray, labels: np.ndarray, logit_width: int) -> np.ndarray:
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return (probs - onehot)[:, :logit_width]
 
 
 def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
@@ -376,119 +311,40 @@ def _chain_to_extractor(grad_emb: np.ndarray, inputs: np.ndarray,
     grads["extractor_b"] = grads.get("extractor_b", 0.0) + gb
 
 
+def _chain_to_classifier(grad_logits: np.ndarray, emb: np.ndarray) -> dict[str, np.ndarray]:
+    """Classifier gradients from per-instance logit gradients."""
+    return {"classifier_w": emb.T @ grad_logits, "classifier_b": grad_logits.sum(axis=0)}
+
+
 def _cross_entropy_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
                              probs: np.ndarray, labels: np.ndarray) -> LossValue:
     """Mean CE over a batch with gradients for classifier and extractor."""
-    n = len(labels)
-    logit_width = params.classifier_w.shape[1]
-    log_probs = _log_probabilities(emb @ params.classifier_w + params.classifier_b)
-    value = float(-log_probs[np.arange(n), labels].mean())
-    grad_logits = _ce_logit_grad(probs, labels, logit_width) / n
-    grads = {
-        "classifier_w": emb.T @ grad_logits,
-        "classifier_b": grad_logits.sum(axis=0),
-    }
-    grad_emb = grad_logits @ params.classifier_w.T
-    _chain_to_extractor(grad_emb, inputs, grads)
+    value, grad_logits = losses.cross_entropy_batch(
+        emb @ params.classifier_w + params.classifier_b, probs, labels)
+    grads = _chain_to_classifier(grad_logits, emb)
+    _chain_to_extractor(grad_logits @ params.classifier_w.T, inputs, grads)
     return LossValue(value=value, grad_params=grads)
 
 
 def _adversarial_component(params: ModelParams, src_inputs, src_emb,
                            tgt_inputs, tgt_emb) -> LossValue:
     """Mean discriminator BCE over both domains; feature gradient is reversed."""
-    emb = np.vstack([src_emb, tgt_emb])
-    inputs = np.vstack([src_inputs, tgt_inputs])
     domain = np.concatenate([np.zeros(len(src_emb)), np.ones(len(tgt_emb))])
-    n = len(domain)
-    z = emb @ params.discriminator_w + float(params.discriminator_b)
-    value = float((_batch_softplus(z) - domain * z).mean())
-    dz = (_batch_sigmoid(z) - domain) / n
-    grads = {
-        "discriminator_w": emb.T @ dz,
-        "discriminator_b": np.asarray(dz.sum()),
-    }
-    grad_emb = -np.outer(dz, params.discriminator_w)  # gradient reversal
-    _chain_to_extractor(grad_emb, inputs, grads)
+    value, grad_w, grad_b, grad_emb = losses.discriminator_bce_batch(
+        np.vstack([src_emb, tgt_emb]), domain, params.discriminator_w, params.discriminator_b)
+    grads = {"discriminator_w": grad_w, "discriminator_b": grad_b}
+    _chain_to_extractor(grad_emb, np.vstack([src_inputs, tgt_inputs]), grads)
     return LossValue(value=value, grad_params=grads)
-
-
-def _prototype_geometry(emb: np.ndarray, pset: PrototypeSet
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row norms, cosines against all prototypes, and the prototype matrix."""
-    matrix = pset.matrix()
-    norms = np.linalg.norm(emb, axis=1)
-    if np.any(norms <= NORM_EPS):
-        raise ZeroVector("zero-norm embedding in prototype geometry")
-    cos = (emb / norms[:, None]) @ matrix.T
-    return norms, cos, matrix
-
-
-def _cos_grad_to_embedding(grad_cos: np.ndarray, cos: np.ndarray, emb: np.ndarray,
-                           norms: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Chain per-row cosine-score gradients back to the embeddings."""
-    radial = (grad_cos * cos).sum(axis=1)
-    return grad_cos @ matrix / norms[:, None] - radial[:, None] * emb / (norms ** 2)[:, None]
-
-
-def _posterior_rows(cos: np.ndarray, tau: float, class_count: int) -> np.ndarray:
-    if class_count == 1:
-        p0 = _batch_sigmoid(cos[:, 0] / tau)
-        return np.stack([p0, 1.0 - p0], axis=1)
-    z = cos / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _pce_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
                    labels: np.ndarray, src: PrototypeSet, tgt: PrototypeSet,
                    tau: float) -> LossValue:
     """Mean prototype cross entropy over pseudo-labeled embeddings."""
-    n = len(labels)
-    class_count = src.class_count
-    total_value = 0.0
-    grad_emb = np.zeros_like(emb)
-    for pset in (src, tgt):
-        norms, cos, matrix = _prototype_geometry(emb, pset)
-        if class_count == 1:
-            s = cos[:, 0] / tau
-            sign = np.where(labels == 0, -1.0, 1.0)
-            total_value += float(_batch_softplus(sign * s).mean())
-            p0 = _batch_sigmoid(s)
-            grad_cos = ((p0 - (labels == 0)) / tau)[:, None] / n
-        else:
-            z = cos / tau
-            zmax = z.max(axis=1, keepdims=True)
-            log_probs = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-            total_value += float(-log_probs[np.arange(n), labels].mean())
-            probs = np.exp(log_probs)
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(n), labels] = 1.0
-            grad_cos = (probs - onehot) / tau / n
-        grad_emb += _cos_grad_to_embedding(grad_cos, cos, emb, norms, matrix)
+    value, grad_emb = losses.prototype_cross_entropy_batch(emb, labels, src, tgt, tau)
     grads: dict[str, np.ndarray] = {}
     _chain_to_extractor(grad_emb, inputs, grads)
-    return LossValue(value=total_value, grad_params=grads)
-
-
-def _pair_divergence_rows(kind: str, a: np.ndarray, b: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise (value, d/da, d/db) of one regularizer pair."""
-    def clog(x):
-        return np.log(np.maximum(x, 1e-12))
-
-    if kind == "l2":
-        diff = a - b
-        return (diff * diff).sum(axis=1), 2.0 * diff, -2.0 * diff
-    if kind == "kl":
-        value = (a * (clog(a) - clog(b))).sum(axis=1)
-        return value, clog(a) - clog(b) + 1.0, -a / np.maximum(b, 1e-12)
-    if kind == "jsd":
-        m = 0.5 * (a + b)
-        value = 0.5 * (a * (clog(a) - clog(m))).sum(axis=1) \
-            + 0.5 * (b * (clog(b) - clog(m))).sum(axis=1)
-        return value, 0.5 * (clog(a) - clog(m)), 0.5 * (clog(b) - clog(m))
-    raise ValueError(f"unknown regularizer kind {kind!r}")
+    return LossValue(value=value, grad_params=grads)
 
 
 def _mut_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
@@ -499,26 +355,10 @@ def _mut_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
     Gradients flow into the linear branch (classifier + extractor) and into
     the embedding through both prototype posteriors; prototypes get none.
     """
-    n = len(emb)
-    logit_width = params.classifier_w.shape[1]
-    norms_s, cos_s, matrix_s = _prototype_geometry(emb, src)
-    norms_t, cos_t, matrix_t = _prototype_geometry(emb, tgt)
-    p_src = _posterior_rows(cos_s, tau, src.class_count)
-    p_tgt = _posterior_rows(cos_t, tau, tgt.class_count)
-    v1, g_lin1, g_src = _pair_divergence_rows(kind, probs, p_src)
-    v2, g_lin2, g_tgt = _pair_divergence_rows(kind, probs, p_tgt)
-    value = float((v1 + v2).mean())
-
-    grad_logits = _prob_grad_to_logit_grad(probs, g_lin1 + g_lin2, logit_width) / n
-    grads = {
-        "classifier_w": emb.T @ grad_logits,
-        "classifier_b": grad_logits.sum(axis=0),
-    }
-    grad_emb = grad_logits @ params.classifier_w.T
-    grad_cos_s = _prob_grad_to_logit_grad(p_src, g_src, src.class_count) / tau / n
-    grad_cos_t = _prob_grad_to_logit_grad(p_tgt, g_tgt, tgt.class_count) / tau / n
-    grad_emb = grad_emb + _cos_grad_to_embedding(grad_cos_s, cos_s, emb, norms_s, matrix_s)
-    grad_emb = grad_emb + _cos_grad_to_embedding(grad_cos_t, cos_t, emb, norms_t, matrix_t)
+    value, grad_logits, grad_emb_src, grad_emb_tgt = losses.mutual_regularization_batch(
+        emb, probs, src, tgt, tau, kind, params.class_count)
+    grads = _chain_to_classifier(grad_logits, emb)
+    grad_emb = grad_logits @ params.classifier_w.T + grad_emb_src + grad_emb_tgt
     _chain_to_extractor(grad_emb, inputs, grads)
     return LossValue(value=value, grad_params=grads)
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from . import adapt, metrics
 from .errors import ConfigError, IoError, MissingArtifact, PacfError, ParseError
 from .experiment import (EvalResult, default_shift_spec,
                          default_trainer_config, evaluate_state)
+from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import DomainShiftSpec, LabeledBatch, generate, load_dump, save_dump
 
@@ -31,14 +33,10 @@ SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
 HIDDEN_FILE = "target_hidden.csv"
 
-_BENCH_KEYS = {"class_count", "dim", "samples_per_class", "source_std",
-               "target_mean_shift", "target_std_multiplier", "mean_scale",
-               "source_means", "seed"}
-_TRAINER_KEYS = {"tau", "init_threshold", "pseudo_threshold", "lambda_unsup",
-                 "lambda_dis", "lambda_pce", "lambda_mut", "ema_rate",
-                 "learning_rate", "warmup_steps", "steps", "batch_size",
-                 "feature_dim", "augment_noise", "seed"}
 _ABLATION_KEYS = {"enable_pce", "regularizer", "enable_adversarial"}
+_BENCH_KEYS = {f.name for f in fields(DomainShiftSpec)}
+_TRAINER_KEYS = ({f.name for f in fields(adapt.TrainerConfig)} - {"weights"} - _ABLATION_KEYS
+                 | {f.name for f in fields(LossWeights)})
 _TOP_KEYS = {"benchmark", "trainer", "ablation", "out_dir"}
 
 
@@ -87,25 +85,16 @@ def spec_from_config(doc: dict, seed_override: int | None = None) -> DomainShift
     if "target_mean_shift" in section and isinstance(section["target_mean_shift"], list):
         section["target_mean_shift"] = np.asarray(section["target_mean_shift"],
                                                   dtype=np.float64)
-    return default_shift_spec(**section) if section else default_shift_spec()
+    return default_shift_spec(**section)
 
 
 def trainer_from_config(doc: dict, seed_override: int | None = None) -> adapt.TrainerConfig:
-    from .losses import LossWeights
-
     section = dict(doc.get("trainer", {}))
     section.update(doc.get("ablation", {}))
     if seed_override is not None:
         section["seed"] = seed_override
-    lambdas = {key: section.pop(key) for key in
-               ("lambda_unsup", "lambda_dis", "lambda_pce", "lambda_mut")
-               if key in section}
     try:
-        if lambdas:
-            defaults = LossWeights()
-            section["weights"] = LossWeights(**{
-                name: lambdas.get(name, getattr(defaults, name))
-                for name in ("lambda_unsup", "lambda_dis", "lambda_pce", "lambda_mut")})
+        section["weights"] = LossWeights.pop_from(section)
         return default_trainer_config(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trainer config: {exc}") from exc

@@ -28,27 +28,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adapt, metrics
+from . import adapt, losses, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
 from .synthbench import DatasetPair, DomainShiftSpec, LabeledBatch
 
 SPLIT_SEED = 0  # fixed seed for the proxy A-distance train/test split
 
 
-def default_shift_spec(seed: int = 100, **overrides) -> DomainShiftSpec:
-    """The default 8-class, 32-dim benchmark with shifted, inflated targets."""
-    kwargs = dict(
-        class_count=8,
-        dim=32,
-        samples_per_class=200,
-        source_std=1.0,
-        target_mean_shift=1.5,
-        target_std_multiplier=1.8,
-        mean_scale=1.0,
-        seed=seed,
-    )
-    kwargs.update(overrides)
-    return DomainShiftSpec(**kwargs)
+def default_shift_spec(**overrides) -> DomainShiftSpec:
+    """The default 8-class, 32-dim benchmark with shifted, inflated targets.
+
+    The defaults are :class:`DomainShiftSpec`'s own (seed 100).
+    """
+    return DomainShiftSpec(**overrides)
 
 
 def default_trainer_config(seed: int = 0, **overrides) -> TrainerConfig:
@@ -96,8 +88,7 @@ def rank_consistency_scores(state: AdaptationState, target_features
     if protos is None or not protos.initialized_classes():
         return linear_scores, np.full(len(emb), np.nan)
     matrix = np.stack([protos.get(k) for k in protos.initialized_classes()])
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    cosines = (emb / norms) @ matrix.T
+    _, cosines = losses.prototype_geometry(emb, matrix)
     return linear_scores, cosines.max(axis=1)
 
 

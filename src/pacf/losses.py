@@ -1,7 +1,19 @@
-"""Objective terms with analytic gradients.
+"""The training objective: one batched implementation of every loss term.
 
-Each operation returns a :class:`LossValue` carrying the scalar value (nats)
-plus the gradients a trainer needs to compose a step:
+Each term is a ``*_batch`` kernel over n rows (embeddings, or the linear
+classifier's distributions over them). It returns the batch-mean value in
+nats and the gradient of that mean with respect to its inputs: logits,
+features, or the discriminator's own parameters. The trainer in
+:mod:`pacf.adapt` chains those gradients to its parameters. The ``*_rows``
+kernels they build on return per-row values and per-row gradients.
+
+The public per-instance operations (:func:`prototype_posterior`,
+:func:`prototype_cross_entropy`, :func:`regularizer_variant`,
+:func:`mutual_regularization`, :func:`classification_loss` and
+:func:`domain_adversarial_loss`) are batch-of-one views: they validate one
+instance and call the same kernels, so the gradients they expose are the
+gradients that train. Each returns a :class:`LossValue` carrying the
+scalar value plus
 
 * ``grad_features``   gradient w.r.t. the instance feature vector,
 * ``grad_params``     named gradients for trainable parameters,
@@ -10,20 +22,22 @@ plus the gradients a trainer needs to compose a step:
 
 Prototypes are constant buffers everywhere: no loss exposes a gradient path
 into a prototype entry. The domain-adversarial term bakes gradient reversal
-into ``grad_features`` (the sign-flipped discriminator gradient); its
-``grad_params`` stay un-reversed so the discriminator itself still learns.
+into the feature gradient (the sign-flipped discriminator gradient); its
+parameter gradients stay un-reversed so the discriminator itself still
+learns. A single-class model uses the sigmoid pair [p, 1 - p] wherever a
+softmax row would be, so its logits and cosines have one column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
 from . import mathcore
 from .errors import DimensionMismatch, ZeroVector
-from .mathcore import CLAMP_EPS
+from .mathcore import CLAMP_EPS, NORM_EPS, clamped_log
 from .prototypes import PrototypeSet
 
 REGULARIZER_KINDS = ("l2", "kl", "jsd")
@@ -52,31 +66,171 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "lambda_unsup": float(self.lambda_unsup),
-            "lambda_dis": float(self.lambda_dis),
-            "lambda_pce": float(self.lambda_pce),
-            "lambda_mut": float(self.lambda_mut),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def pop_from(cls, doc: dict) -> "LossWeights":
+        """Weights from the ``lambda_*`` keys present in ``doc``, removing them from it.
+
+        Absent keys keep the defaults above.
+        """
+        return cls(**{f.name: doc.pop(f.name) for f in fields(cls) if f.name in doc})
 
 
-def _clog(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, CLAMP_EPS))
+# --- batched kernels ----------------------------------------------------------
+
+def class_probabilities(logits: np.ndarray) -> np.ndarray:
+    """Row-wise class distribution; a single logit column yields [p, 1 - p] rows."""
+    if logits.shape[1] == 1:
+        p0 = mathcore.sigmoid(logits[:, 0])
+        return np.stack([p0, 1.0 - p0], axis=1)
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _prototype_scores(x: np.ndarray, pset: PrototypeSet, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine similarities of x against every prototype, plus the proto matrix."""
-    matrix = pset.matrix()
-    x = mathcore.as_vector(x)
-    if matrix.shape[1] != x.size:
+def log_probabilities(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log of :func:`class_probabilities`, exact where it underflows."""
+    if logits.shape[1] == 1:
+        z = logits[:, 0]
+        return np.stack([-mathcore.softplus(-z), -mathcore.softplus(z)], axis=1)
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def cross_entropy_rows(log_probs: np.ndarray, probs: np.ndarray, labels: np.ndarray,
+                       logit_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log p[label] and its gradient w.r.t. the row's logits (p - onehot).
+
+    A sigmoid pair has one logit, so only the first ``logit_width`` columns
+    of the gradient are kept.
+    """
+    rows = np.arange(len(labels))
+    onehot = np.zeros_like(probs)
+    onehot[rows, labels] = 1.0
+    return -log_probs[rows, labels], (probs - onehot)[:, :logit_width]
+
+
+def cross_entropy_batch(logits: np.ndarray, probs: np.ndarray, labels: np.ndarray
+                        ) -> tuple[float, np.ndarray]:
+    """Mean cross entropy of the linear classifier and its gradient w.r.t. the logits.
+
+    ``probs`` must be :func:`class_probabilities` of ``logits``.
+    """
+    nll, grad_logits = cross_entropy_rows(log_probabilities(logits), probs, labels,
+                                          logits.shape[1])
+    return float(nll.mean()), grad_logits / len(labels)
+
+
+def prototype_geometry(features: np.ndarray, matrix: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of the features and their cosines against each unit prototype row."""
+    if features.shape[1] != matrix.shape[1]:
         raise DimensionMismatch(
-            f"feature dim {x.size} does not match prototype dim {matrix.shape[1]}")
-    norm = float(np.linalg.norm(x))
-    if norm <= mathcore.NORM_EPS:
-        raise ZeroVector("prototype posterior is undefined for a zero feature")
-    cos = matrix @ (x / norm)
-    return cos, matrix
+            f"feature dim {features.shape[1]} does not match prototype dim {matrix.shape[1]}")
+    norms = np.linalg.norm(features, axis=1)
+    if np.any(norms <= NORM_EPS):
+        raise ZeroVector("cosine against a prototype is undefined for a zero feature")
+    return norms, (features / norms[:, None]) @ matrix.T
 
+
+def cosine_grad_to_features(grad_cos: np.ndarray, cos: np.ndarray, features: np.ndarray,
+                            norms: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Chain per-row cosine gradients back to the features.
+
+    d cos_k / dx = mu_k / |x| - cos_k * x / |x|^2  (prototypes are unit norm).
+    """
+    radial = (grad_cos * cos).sum(axis=1)
+    return grad_cos @ matrix / norms[:, None] - radial[:, None] * features / (norms ** 2)[:, None]
+
+
+def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
+                                  src: PrototypeSet, tgt: PrototypeSet, tau: float
+                                  ) -> tuple[float, np.ndarray]:
+    """Mean prototype cross entropy over both domains and its feature gradient.
+
+    Per row: -log p_src(y|x) - log p_tgt(y|x), with p the cosine softmax at
+    temperature tau (the sigmoid pair for a single class).
+    """
+    n = len(labels)
+    value = 0.0
+    grad = np.zeros_like(features)
+    for pset in (src, tgt):
+        matrix = pset.matrix()
+        norms, cos = prototype_geometry(features, matrix)
+        scores = cos / tau
+        log_probs = log_probabilities(scores)
+        # softmax rows reuse exp(log p); a sigmoid pair keeps the linear head's sigmoid
+        probs = class_probabilities(scores) if pset.class_count == 1 else np.exp(log_probs)
+        nll, grad_scores = cross_entropy_rows(log_probs, probs, labels, cos.shape[1])
+        value += float(nll.mean())
+        grad += cosine_grad_to_features(grad_scores / tau / n, cos, features, norms, matrix)
+    return value, grad
+
+
+def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise (value, d/da, d/db) of one regularizer pair. Gradients use clamped logs."""
+    if kind == "l2":
+        diff = a - b
+        return (diff * diff).sum(axis=-1), 2.0 * diff, -2.0 * diff
+    if kind == "kl":
+        return (mathcore.kl_rows(a, b), clamped_log(a) - clamped_log(b) + 1.0,
+                -a / np.maximum(b, CLAMP_EPS))
+    if kind == "jsd":
+        m = 0.5 * (a + b)
+        return (mathcore.js_rows(a, b), 0.5 * (clamped_log(a) - clamped_log(m)),
+                0.5 * (clamped_log(b) - clamped_log(m)))
+    raise ValueError(f"unknown regularizer kind {kind!r}")
+
+
+def regularizer_rows(kind: str, p_lin: np.ndarray, p_src: np.ndarray, p_tgt: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row D(p_lin, p_src) + D(p_lin, p_tgt) and its gradients w.r.t. each input."""
+    v1, g_lin1, g_src = pair_divergence(kind, p_lin, p_src)
+    v2, g_lin2, g_tgt = pair_divergence(kind, p_lin, p_tgt)
+    return v1 + v2, g_lin1 + g_lin2, g_src, g_tgt
+
+
+def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray,
+                                src: PrototypeSet, tgt: PrototypeSet, tau: float,
+                                kind: str, logit_width: int
+                                ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean regularizer coupling the linear distribution to both prototype posteriors.
+
+    Returns the value, its gradient w.r.t. the linear logits, and its
+    gradient w.r.t. the features through the source and through the target
+    posterior (kept apart so the caller adds them in a fixed order).
+    """
+    n = len(features)
+    branches = []
+    for pset in (src, tgt):
+        matrix = pset.matrix()
+        norms, cos = prototype_geometry(features, matrix)
+        branches.append((matrix, norms, cos, class_probabilities(cos / tau)))
+    values, g_lin, g_src, g_tgt = regularizer_rows(kind, probs, branches[0][3], branches[1][3])
+    grad_logits = mathcore.softmax_vjp_rows(probs, g_lin)[:, :logit_width] / n
+    grad_features = []
+    for (matrix, norms, cos, post), g_post in zip(branches, (g_src, g_tgt)):
+        grad_cos = mathcore.softmax_vjp_rows(post, g_post)[:, :cos.shape[1]] / tau / n
+        grad_features.append(cosine_grad_to_features(grad_cos, cos, features, norms, matrix))
+    return float(values.mean()), grad_logits, *grad_features
+
+
+def discriminator_bce_batch(features: np.ndarray, domain: np.ndarray, weight: np.ndarray,
+                            bias: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean BCE of the logistic domain discriminator (0 = source, 1 = target).
+
+    Returns the value, the discriminator's weight and bias gradients, and the
+    feature gradient with the gradient-reversal sign flip applied.
+    """
+    z = features @ weight + float(bias)
+    value = float((mathcore.softplus(z) - domain * z).mean())
+    dz = (mathcore.sigmoid(z) - domain) / len(domain)
+    return value, features.T @ dz, np.asarray(dz.sum()), -np.outer(dz, weight)
+
+
+# --- per-instance operations: batch-of-one views of the kernels -------------------
 
 def prototype_posterior(x, pset: PrototypeSet, tau: float) -> np.ndarray:
     """Class distribution from cosine similarities against one prototype set.
@@ -84,31 +238,9 @@ def prototype_posterior(x, pset: PrototypeSet, tau: float) -> np.ndarray:
     Multi-class sets use softmax(cos / tau); a single-class set uses the
     sigmoid pair [p, 1 - p].
     """
-    cos, _ = _prototype_scores(x, pset, tau)
-    if pset.class_count == 1:
-        return mathcore.sigmoid_probability(float(cos[0]), tau)
-    return mathcore.temperature_softmax(cos, tau)
-
-
-def _branch_nll_and_cos_grad(cos: np.ndarray, label: int, tau: float,
-                             class_count: int) -> tuple[float, np.ndarray]:
-    """Negative log posterior at ``label`` plus its gradient w.r.t. the cosines."""
     tau = mathcore._check_temperature(tau)
-    if class_count == 1:
-        s = float(cos[0]) / tau
-        p0 = mathcore.sigmoid(s)
-        if label == 0:
-            value = mathcore.softplus(-s)
-            grad = np.array([(p0 - 1.0) / tau])
-        else:
-            value = mathcore.softplus(s)
-            grad = np.array([p0 / tau])
-        return value, grad
-    log_probs = mathcore.log_softmax(cos / tau)
-    probs = np.exp(log_probs)
-    onehot = np.zeros(class_count)
-    onehot[label] = 1.0
-    return -float(log_probs[label]), (probs - onehot) / tau
+    _, cos = prototype_geometry(mathcore.as_vector(x)[None], pset.matrix())
+    return class_probabilities(cos / tau)[0]
 
 
 def prototype_cross_entropy(x, pseudo_label: int, src: PrototypeSet, tgt: PrototypeSet,
@@ -120,36 +252,12 @@ def prototype_cross_entropy(x, pseudo_label: int, src: PrototypeSet, tgt: Protot
     """
     if src.class_count != tgt.class_count:
         raise DimensionMismatch("source/target prototype sets disagree on class count")
-    class_count = src.class_count
-    if not (0 <= pseudo_label < max(class_count, 2)):
+    if not (0 <= pseudo_label < max(src.class_count, 2)):
         raise ValueError(f"pseudo label {pseudo_label} out of range")
-    x = mathcore.as_vector(x)
-    norm = float(np.linalg.norm(x))
-    value = 0.0
-    grad = np.zeros_like(x)
-    for pset in (src, tgt):
-        cos, matrix = _prototype_scores(x, pset, tau)
-        branch_value, grad_cos = _branch_nll_and_cos_grad(cos, pseudo_label, tau, class_count)
-        value += branch_value
-        # d cos_k / dx = mu_k / |x| - cos_k * x / |x|^2  (prototypes are unit norm)
-        grad += (grad_cos @ matrix) / norm - float(np.dot(grad_cos, cos)) * x / (norm * norm)
-    return LossValue(value=value, grad_features=grad)
-
-
-def _pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, d/da, d/db) of one regularizer pair. Gradients use clamped logs."""
-    if kind == "l2":
-        diff = a - b
-        return float(np.dot(diff, diff)), 2.0 * diff, -2.0 * diff
-    if kind == "kl":
-        value = mathcore.kl_divergence(a, b)
-        return value, _clog(a) - _clog(b) + 1.0, -a / np.maximum(b, CLAMP_EPS)
-    if kind == "jsd":
-        m = 0.5 * (a + b)
-        value = mathcore.js_divergence(a, b)
-        return value, 0.5 * (_clog(a) - _clog(m)), 0.5 * (_clog(b) - _clog(m))
-    raise ValueError(f"unknown regularizer kind {kind!r}")
+    tau = mathcore._check_temperature(tau)
+    value, grad = prototype_cross_entropy_batch(mathcore.as_vector(x)[None],
+                                                np.array([pseudo_label]), src, tgt, tau)
+    return LossValue(value=value, grad_features=grad[0])
 
 
 def regularizer_variant(p_lin, p_src, p_tgt, kind: str) -> LossValue:
@@ -168,11 +276,10 @@ def regularizer_variant(p_lin, p_src, p_tgt, kind: str) -> LossValue:
     if not (p_lin.shape == p_src.shape == p_tgt.shape):
         raise DimensionMismatch(
             f"distribution length mismatch: {p_lin.shape}, {p_src.shape}, {p_tgt.shape}")
-    v1, g_lin1, g_src = _pair_divergence(kind, p_lin, p_src)
-    v2, g_lin2, g_tgt = _pair_divergence(kind, p_lin, p_tgt)
+    values, g_lin, g_src, g_tgt = regularizer_rows(kind, p_lin[None], p_src[None], p_tgt[None])
     return LossValue(
-        value=v1 + v2,
-        grad_inputs={"p_lin": g_lin1 + g_lin2, "p_src": g_src, "p_tgt": g_tgt},
+        value=float(values[0]),
+        grad_inputs={"p_lin": g_lin[0], "p_src": g_src[0], "p_tgt": g_tgt[0]},
     )
 
 
@@ -190,12 +297,9 @@ def classification_loss(p_lin, label: int) -> LossValue:
     p = mathcore.as_vector(p_lin)
     if not (0 <= label < p.size):
         raise ValueError(f"label {label} out of range for {p.size} classes")
-    onehot = np.zeros_like(p)
-    onehot[label] = 1.0
-    return LossValue(
-        value=-float(_clog(p)[label]),
-        grad_inputs={"logits": p - onehot},
-    )
+    nll, grad_logits = cross_entropy_rows(clamped_log(p)[None], p[None], np.array([label]),
+                                          p.size)
+    return LossValue(value=float(nll[0]), grad_inputs={"logits": grad_logits[0]})
 
 
 def domain_adversarial_loss(x, domain_label: int, discriminator_w,
@@ -212,16 +316,12 @@ def domain_adversarial_loss(x, domain_label: int, discriminator_w,
         raise DimensionMismatch(f"feature/discriminator dims differ: {x.shape} vs {w.shape}")
     if domain_label not in (0, 1):
         raise ValueError(f"domain label must be 0 or 1, got {domain_label!r}")
-    z = float(np.dot(w, x)) + float(discriminator_b)
-    value = mathcore.softplus(z) - domain_label * z
-    dz = mathcore.sigmoid(z) - float(domain_label)
+    value, grad_w, grad_b, grad_features = discriminator_bce_batch(
+        x[None], np.array([float(domain_label)]), w, discriminator_b)
     return LossValue(
         value=value,
-        grad_features=-dz * w,
-        grad_params={
-            "discriminator_w": dz * x,
-            "discriminator_b": np.asarray(dz, dtype=np.float64),
-        },
+        grad_features=grad_features[0],
+        grad_params={"discriminator_w": grad_w, "discriminator_b": grad_b},
     )
 
 

@@ -1,10 +1,14 @@
 """Vector geometry and probability primitives shared by the other modules.
 
-Everything here is a pure function over 1-D float64 arrays. Divergences use
-the natural logarithm (values in nats), so the Jensen-Shannon divergence is
-bounded by ln 2. Probabilities are floored at ``CLAMP_EPS`` inside
-logarithms, which keeps divergences finite at exact zeros; vectors with norm
-at or below ``NORM_EPS`` are rejected as zero.
+Everything here is a pure function over float64 arrays. The public vector
+operations validate 1-D inputs; ``sigmoid``, ``softplus`` and
+``clamped_log`` act elementwise, and the ``*_rows`` kernels act along the
+last axis, so one formula serves a single vector and a batch of rows alike.
+
+Divergences use the natural logarithm (values in nats), so the
+Jensen-Shannon divergence is bounded by ln 2. Probabilities are floored at
+``CLAMP_EPS`` inside logarithms, which keeps divergences finite at exact
+zeros; vectors with norm at or below ``NORM_EPS`` are rejected as zero.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def _clamped_log(p: np.ndarray) -> np.ndarray:
+def clamped_log(p: np.ndarray) -> np.ndarray:
+    """Elementwise natural log with the argument floored at ``CLAMP_EPS``."""
     return np.log(np.maximum(p, CLAMP_EPS))
 
 
@@ -87,11 +92,10 @@ def temperature_softmax(scores, tau: float) -> np.ndarray:
     return e / float(np.sum(e))
 
 
-def log_softmax(scores) -> np.ndarray:
-    """Row of log-probabilities for softmax(scores); exact where softmax underflows."""
-    s = as_vector(scores)
-    z = s - float(np.max(s))
-    return z - np.log(float(np.sum(np.exp(z))))
+def softmax_vjp_rows(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
+    """Row-wise softmax VJP along the last axis: p_i * (g_i - sum_j p_j g_j)."""
+    inner = (probs * grad_probs).sum(axis=-1, keepdims=True)
+    return probs * (grad_probs - inner)
 
 
 def softmax_vjp(probs, grad_probs) -> np.ndarray:
@@ -103,22 +107,24 @@ def softmax_vjp(probs, grad_probs) -> np.ndarray:
     g = as_vector(grad_probs)
     if p.shape != g.shape:
         raise DimensionMismatch(f"dimension mismatch: {p.shape} vs {g.shape}")
-    return p * (g - float(np.dot(p, g)))
+    return softmax_vjp_rows(p, g)
 
 
-def sigmoid(z: float) -> float:
-    """Numerically stable logistic function."""
-    z = float(z)
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return float(e / (1.0 + e))
+def sigmoid(z) -> np.ndarray:
+    """Numerically stable logistic function, elementwise."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
-def softplus(z: float) -> float:
-    """log(1 + exp(z)) without overflow."""
-    z = float(z)
-    return max(z, 0.0) + float(np.log1p(np.exp(-abs(z))))
+def softplus(z) -> np.ndarray:
+    """log(1 + exp(z)) without overflow, elementwise."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def sigmoid_probability(score: float, tau: float) -> np.ndarray:
@@ -128,8 +134,19 @@ def sigmoid_probability(score: float, tau: float) -> np.ndarray:
     class, index 1 its complement.
     """
     tau = _check_temperature(tau)
-    p = sigmoid(float(score) / tau)
+    p = float(sigmoid(float(score) / tau))
     return np.array([p, 1.0 - p], dtype=np.float64)
+
+
+def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """KL(q || p) along the last axis, logs clamped as in :func:`kl_divergence`."""
+    return (q * (clamped_log(q) - clamped_log(p))).sum(axis=-1)
+
+
+def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence along the last axis, symmetric in p and q bitwise."""
+    m = 0.5 * (p + q)
+    return 0.5 * kl_rows(p, m) + 0.5 * kl_rows(q, m)
 
 
 def kl_divergence(q, p) -> float:
@@ -138,7 +155,7 @@ def kl_divergence(q, p) -> float:
     p = as_vector(p)
     if q.shape != p.shape:
         raise DimensionMismatch(f"KL needs equal lengths, got {q.shape} vs {p.shape}")
-    return float(np.sum(q * (_clamped_log(q) - _clamped_log(p))))
+    return float(kl_rows(q, p))
 
 
 def js_divergence(p, q) -> float:
@@ -150,8 +167,7 @@ def js_divergence(p, q) -> float:
     q = as_vector(q)
     if p.shape != q.shape:
         raise DimensionMismatch(f"JS needs equal lengths, got {p.shape} vs {q.shape}")
-    m = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
+    return float(js_rows(p, q))
 
 
 def finite_difference_gradient(

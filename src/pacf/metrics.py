@@ -4,37 +4,16 @@ Per-class feature variance (covariance trace), class-mean shift between
 domains, a proxy A-distance from a held-out logistic domain classifier,
 rank-consistency coefficients with tie handling, pseudo-label true-positive
 ratios against hidden labels, and a deterministic 2-D PCA projection.
-
-Per-class computations can fan out over a thread pool sized by the
-``PACF_THREADS`` environment variable (default 1); results are keyed by
-class, so parallelism never changes them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples
-
-
-def thread_count() -> int:
-    """Worker count for per-class metric evaluation (env ``PACF_THREADS``)."""
-    try:
-        return max(1, int(os.environ.get("PACF_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_classes(fn, class_ids):
-    workers = thread_count()
-    if workers <= 1 or len(class_ids) <= 1:
-        return [fn(k) for k in class_ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, class_ids))
+from .mathcore import sigmoid
 
 
 def intra_class_variance(features, labels) -> dict[int, float]:
@@ -44,12 +23,8 @@ def intra_class_variance(features, labels) -> dict[int, float]:
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    class_ids = [int(k) for k in np.unique(labels) if np.sum(labels == k) >= 2]
-
-    def one(k):
-        return float(np.var(features[labels == k], axis=0, ddof=1).sum())
-
-    return dict(zip(class_ids, _map_classes(one, class_ids)))
+    return {int(k): float(np.var(features[labels == k], axis=0, ddof=1).sum())
+            for k in np.unique(labels) if np.sum(labels == k) >= 2}
 
 
 def mean_shift(source_features, source_labels, target_features, target_labels,
@@ -65,17 +40,15 @@ def mean_shift(source_features, source_labels, target_features, target_labels,
     sl = np.asarray(source_labels, dtype=np.int64)
     tf = np.asarray(target_features, dtype=np.float64)
     tl = np.asarray(target_labels, dtype=np.int64)
-    class_ids = sorted(set(np.unique(sl).tolist()) & set(np.unique(tl).tolist()))
-
-    def one(k):
+    shifts = {}
+    for k in sorted(set(np.unique(sl).tolist()) & set(np.unique(tl).tolist())):
         sm = sf[sl == k].mean(axis=0)
         tm = tf[tl == k].mean(axis=0)
         if normalize_means:
             sm = sm / np.linalg.norm(sm)
             tm = tm / np.linalg.norm(tm)
-        return float(np.linalg.norm(sm - tm))
-
-    return dict(zip([int(k) for k in class_ids], _map_classes(one, class_ids)))
+        shifts[int(k)] = float(np.linalg.norm(sm - tm))
+    return shifts
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, iterations: int = 400,
@@ -84,13 +57,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, iterations: int = 400,
     w = np.zeros(x.shape[1])
     n = len(y)
     for _ in range(iterations):
-        z = x @ w
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        grad = x.T @ (p - y) / n
+        grad = x.T @ (sigmoid(x @ w) - y) / n
         grad[:-1] += l2 * w[:-1]  # bias column is last and unregularized
         w = w - learning_rate * grad
     return w

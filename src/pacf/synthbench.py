@@ -197,7 +197,7 @@ def load_dump(path) -> LabeledBatch:
     expected = [f"f{i}" for i in range(dim)]
     if header[2:] != expected:
         raise ParseError(f"{path} line 1: feature columns must be f0..f{dim - 1}")
-    labels, scores, rows = [], [], []
+    labels, scores, rows, linenos = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
@@ -211,6 +211,12 @@ def load_dump(path) -> LabeledBatch:
             rows.append([float(v) for v in cells[2:]])
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: {exc}") from exc
+        linenos.append(lineno)
     if not rows:
         raise EmptyBatch(f"{path} has no data rows")
-    return LabeledBatch(np.asarray(rows), np.asarray(labels), np.asarray(scores))
+    features = np.asarray(rows)
+    scores = np.asarray(scores)
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(scores)
+    if not finite.all():
+        raise ParseError(f"{path} line {linenos[int(np.argmin(finite))]}: non-finite value")
+    return LabeledBatch(features, np.asarray(labels), scores)

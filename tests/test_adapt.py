@@ -426,6 +426,63 @@ class TestBatchComponentsMatchPerInstanceOps:
                                    np.mean(disc_grads, axis=0), atol=1e-12)
 
 
+class TestComponentGradientsAgainstFiniteDifferences:
+    """Every parameter gradient of every batched component matches central
+    finite differences, for one class (the sigmoid branches), two and five."""
+
+    TAU = 0.3
+
+    def setup_case(self, class_count):
+        rng = np.random.default_rng(90 + class_count)
+        d_in, d_feat, n = 5, 4, 9
+        params = make_params(d_in=d_in, d_feat=d_feat, classes=class_count,
+                             seed=91 + class_count)
+        src, tgt = (PrototypeSet(domain, class_count, d_feat,
+                                 {k: mathcore.l2_normalize(rng.normal(size=d_feat))
+                                  for k in range(class_count)})
+                    for domain in ("source", "target"))
+        inputs = rng.normal(size=(n, d_in))
+        # a sigmoid pair has two rows of outcomes: label 1 means "no class"
+        labels = rng.integers(0, max(class_count, 2), size=n)
+        return params, src, tgt, inputs, labels
+
+    def loss_function(self, name, src, tgt, inputs, labels):
+        def loss_of(params):
+            emb, probs = forward(params, inputs)
+            if name == "ce":
+                return adapt._cross_entropy_component(params, inputs, emb, probs, labels)
+            if name == "adversarial":
+                return adapt._adversarial_component(params, inputs[:4], emb[:4],
+                                                    inputs[4:], emb[4:])
+            if name == "pce":
+                return adapt._pce_component(params, inputs, emb, labels, src, tgt, self.TAU)
+            return adapt._mut_component(params, inputs, emb, probs, src, tgt, self.TAU,
+                                        name.split("-")[1])
+        return loss_of
+
+    @pytest.mark.parametrize("class_count", [1, 2, 5])
+    @pytest.mark.parametrize("name", ["ce", "adversarial", "pce", "mut-l2", "mut-kl", "mut-jsd"])
+    def test_every_parameter_gradient(self, name, class_count):
+        params, src, tgt, inputs, labels = self.setup_case(class_count)
+        loss_of = self.loss_function(name, src, tgt, inputs, labels)
+        grads = loss_of(params).grad_params
+        assert grads
+        for key, analytic in grads.items():
+            shape = np.shape(getattr(params, key))
+
+            def value_at(flat, key=key, shape=shape):
+                trial = params.copy()
+                setattr(trial, key, flat.reshape(shape))
+                return loss_of(trial).value
+
+            numeric = mathcore.finite_difference_gradient(
+                value_at, np.ravel(getattr(params, key)), 1e-6)
+            if name == "adversarial" and key.startswith("extractor"):
+                numeric = -numeric  # the extractor receives the reversed gradient
+            scale = max(np.linalg.norm(numeric), 1e-8)
+            assert np.linalg.norm(np.ravel(analytic) - numeric) / scale < 1e-6, key
+
+
 class TestCheckpointRoundTrip:
     def test_round_trip(self):
         import json

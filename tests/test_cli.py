@@ -179,6 +179,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "ParseError" in err and "line 4" in err
 
+    def test_non_finite_cell_fails_with_line(self, tmp_path, config_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        run(["gen", "--config", config_path, "--out", str(data)])
+        target = data / "target.csv"
+        lines = target.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[4] = "nan"
+        lines[5] = ",".join(cells)
+        target.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["train", "--config", config_path, "--data", str(data),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert "target.csv line 6" in err
+
 
 class TestEval:
     def test_eval_after_train_matches_report(self, trained_run, tmp_path):

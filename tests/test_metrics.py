@@ -265,23 +265,6 @@ class TestPcaProject2d:
             metrics.pca_project_2d(np.zeros((10, 1)))
 
 
-class TestThreadedEvaluation:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("PACF_THREADS", "4")
-        assert metrics.thread_count() == 4
-        monkeypatch.setenv("PACF_THREADS", "bogus")
-        assert metrics.thread_count() == 1
-
-    def test_parallel_results_match_serial(self, monkeypatch):
-        rng = np.random.default_rng(65)
-        x = rng.normal(size=(120, 5))
-        labels = rng.integers(0, 6, size=120)
-        serial = metrics.intra_class_variance(x, labels)
-        monkeypatch.setenv("PACF_THREADS", "4")
-        parallel = metrics.intra_class_variance(x, labels)
-        assert serial == parallel
-
-
 class TestReportSerialization:
     def test_json_round_trip(self):
         report = metrics.MetricsReport(
