@@ -112,6 +112,16 @@ class ModelParams:
 class TrainerConfig:
     """Knobs for one adaptation run.
 
+    The defaults are the paper's reference hyperparameters (temperature,
+    thresholds, loss weights) on the desk-scale schedule of
+    ``configs/default.json``. That schedule uses a wide embedding (128 dims
+    for 32 input dims) and an EMA rate of 0.99. Classification gradients
+    only shape the classifier-row subspace of the embedding; the prototype
+    losses do their distinctive work in the many remaining nuisance
+    directions, which is where the paper-scale models also have their slack.
+    The faster EMA lets the teacher track the student over a
+    few-thousand-step horizon.
+
     ``pseudo_threshold`` may exceed 1 to disable pseudo labeling entirely
     (filtering keeps an instance only when its max probability reaches the
     threshold, which no probability above 1 can). ``enable_pce``,
@@ -126,16 +136,19 @@ class TrainerConfig:
     regularizer: str = "jsd"
     enable_pce: bool = True
     enable_adversarial: bool = True
-    ema_rate: float = 0.9996
+    ema_rate: float = 0.99
     learning_rate: float = 0.05
-    warmup_steps: int = 300
-    steps: int = 500
+    warmup_steps: int = 500
+    steps: int = 4000
     batch_size: int = 64
-    feature_dim: int = 16
-    augment_noise: float = 0.5
+    feature_dim: int = 128
+    augment_noise: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("warmup_steps", "steps", "batch_size", "feature_dim", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not (0.0 < self.init_threshold <= 1.0):
@@ -216,9 +229,6 @@ class StepRecord:
     total: float
     pseudo_count: int
 
-    FIELDS = ("step", "loss_sup", "loss_unsup", "loss_dis", "loss_pce",
-              "loss_mut", "total", "pseudo_count")
-
 
 def init_state(config: TrainerConfig, input_dim: int, class_count: int) -> AdaptationState:
     """Fresh state with seeded parameters; weight draws precede all training draws."""
@@ -249,16 +259,6 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     if single:
         return emb[0], probs[0]
     return emb, probs
-
-
-def embed(params: ModelParams, x) -> np.ndarray:
-    """Extractor output only."""
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if arr.shape[1] != params.input_dim:
-        raise DimensionMismatch(
-            f"input dim {arr.shape[1]} does not match extractor dim {params.input_dim}")
-    emb = arr @ params.extractor_w + params.extractor_b
-    return emb[0] if np.asarray(x).ndim == 1 else emb
 
 
 def predict(params: ModelParams, x):

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import adapt, metrics
 from .errors import ConfigError, IoError, MissingArtifact, PacfError, ParseError
-from .experiment import (EvalResult, default_shift_spec,
-                         default_trainer_config, evaluate_state)
+from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import DomainShiftSpec, LabeledBatch, generate, load_dump, save_dump
@@ -76,38 +75,29 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def spec_from_config(doc: dict, seed_override: int | None = None) -> DomainShiftSpec:
-    section = dict(doc.get("benchmark", {}))
-    if seed_override is not None:
-        section["seed"] = seed_override
-    if "source_means" in section and section["source_means"] is not None:
-        section["source_means"] = np.asarray(section["source_means"], dtype=np.float64)
-    if "target_mean_shift" in section and isinstance(section["target_mean_shift"], list):
-        section["target_mean_shift"] = np.asarray(section["target_mean_shift"],
-                                                  dtype=np.float64)
-    return default_shift_spec(**section)
-
-
-def trainer_from_config(doc: dict, seed_override: int | None = None) -> adapt.TrainerConfig:
-    section = dict(doc.get("trainer", {}))
-    section.update(doc.get("ablation", {}))
-    if seed_override is not None:
-        section["seed"] = seed_override
+def spec_from_config(doc: dict) -> DomainShiftSpec:
     try:
-        section["weights"] = LossWeights.pop_from(section)
-        return default_trainer_config(**section)
+        return DomainShiftSpec(**doc.get("benchmark", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad benchmark config: {exc}") from exc
+
+
+def trainer_from_config(doc: dict) -> adapt.TrainerConfig:
+    try:
+        return adapt.TrainerConfig.from_json_dict({**doc.get("trainer", {}),
+                                                   **doc.get("ablation", {})})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trainer config: {exc}") from exc
 
 
-def effective_config_doc(doc: dict, seed_override: int | None, command: str) -> dict:
-    """The config as actually used (seed overrides applied); input for the hash."""
+def effective_config_doc(doc: dict, seed: int | None, command: str) -> dict:
+    """The config as actually used (the ``--seed`` override applied); input for the hash."""
     effective = json.loads(canonical_json(doc))  # deep copy with plain types
-    if seed_override is not None:
+    if seed is not None:
         if command == "gen":
-            effective.setdefault("benchmark", {})["seed"] = seed_override
+            effective.setdefault("benchmark", {})["seed"] = seed
         else:
-            effective.setdefault("trainer", {})["seed"] = seed_override
+            effective.setdefault("trainer", {})["seed"] = seed
     return effective
 
 
@@ -233,12 +223,11 @@ def cmd_train(args) -> int:
 
     _write_json(os.path.join(out, "checkpoint.json"),
                 adapt.checkpoint_to_json_dict(result.state, config, cfg_hash))
-    loss_lines = [",".join(adapt.StepRecord.FIELDS)]
+    columns = [f.name for f in fields(adapt.StepRecord)]
+    loss_lines = [",".join(columns)]
     for record in result.warmup_records + result.records:
-        loss_lines.append(",".join([
-            str(record.step), _fmt(record.loss_sup), _fmt(record.loss_unsup),
-            _fmt(record.loss_dis), _fmt(record.loss_pce), _fmt(record.loss_mut),
-            _fmt(record.total), str(record.pseudo_count)]))
+        values = (getattr(record, name) for name in columns)
+        loss_lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
     _write_text(os.path.join(out, "losses.csv"), "\n".join(loss_lines) + "\n")
     _write_json(os.path.join(out, "config.json"), effective)
     files = _write_eval_artifacts(out, evaluation, cfg_hash)

@@ -1,25 +1,15 @@
-"""Default benchmark protocol and run/evaluate wiring shared by CLI and tests.
+"""Run/evaluate wiring shared by CLI and tests.
 
-Two protocol choices here deserve explanation:
-
-* The desk-scale trainer defaults use a wide embedding (128 dims for 32
-  input dims) and an EMA rate of 0.99. Classification gradients only shape
-  the classifier-row subspace of the embedding; the prototype losses do
-  their distinctive work in the many remaining nuisance directions, which
-  is where the paper-scale models also have their slack. The faster EMA
-  lets the teacher track the student over a few-thousand-step horizon.
-
-* Distribution diagnostics (per-class variance, class-mean shift, proxy
-  A-distance, 2-D projection) are computed on unit-normalized embeddings.
-  With an affine extractor over isotropic class-conditional inputs, the
-  raw per-class covariance is sigma^2 W W^T for every class, so raw-trace
-  variance measures only the global weight scale, a mode the cosine-space
-  losses are blind to by construction. The framework's feature geometry
-  lives on the unit sphere (features and prototypes are L2-normalized
-  wherever prototypes act), and the normalized diagnostics measure exactly
-  the compactness and alignment the mechanism manipulates. Mean shift is
-  the distance between unit-normalized class means (pure directional
-  shift, uncontaminated by per-instance spread).
+Distribution diagnostics (per-class variance, class-mean shift, proxy
+A-distance, 2-D projection) are computed on unit-normalized embeddings.
+With an affine extractor over isotropic class-conditional inputs, the raw
+per-class covariance is sigma^2 W W^T for every class, so raw-trace variance
+measures only the global weight scale, a mode the cosine-space losses are
+blind to by construction. The framework's feature geometry lives on the unit
+sphere (features and prototypes are L2-normalized wherever prototypes act),
+and the normalized diagnostics measure exactly the compactness and alignment
+the mechanism manipulates. Mean shift is the distance between unit-normalized
+class means (pure directional shift, uncontaminated by per-instance spread).
 """
 
 from __future__ import annotations
@@ -30,33 +20,9 @@ import numpy as np
 
 from . import adapt, losses, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
-from .synthbench import DatasetPair, DomainShiftSpec, LabeledBatch
+from .synthbench import DatasetPair, LabeledBatch
 
 SPLIT_SEED = 0  # fixed seed for the proxy A-distance train/test split
-
-
-def default_shift_spec(**overrides) -> DomainShiftSpec:
-    """The default 8-class, 32-dim benchmark with shifted, inflated targets.
-
-    The defaults are :class:`DomainShiftSpec`'s own (seed 100).
-    """
-    return DomainShiftSpec(**overrides)
-
-
-def default_trainer_config(seed: int = 0, **overrides) -> TrainerConfig:
-    """Desk-scale trainer defaults used by the default experiment."""
-    kwargs = dict(
-        ema_rate=0.99,
-        learning_rate=0.05,
-        warmup_steps=500,
-        steps=4000,
-        batch_size=64,
-        feature_dim=128,
-        augment_noise=1.0,
-        seed=seed,
-    )
-    kwargs.update(overrides)
-    return TrainerConfig(**kwargs)
 
 
 def baseline_config(config: TrainerConfig) -> TrainerConfig:
@@ -107,8 +73,8 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     the report carries the label-free diagnostics only.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
-    src_emb = adapt.embed(state.student, source.features)
-    tgt_emb = adapt.embed(state.student, target_features)
+    src_emb, _ = adapt.forward(state.student, source.features)
+    tgt_emb, _ = adapt.forward(state.student, target_features)
     src_unit = _unit_rows(src_emb)
     tgt_unit = _unit_rows(tgt_emb)
 

@@ -349,7 +349,6 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> Los
     value = 0.0
     grad_features: np.ndarray | None = None
     grad_params: dict[str, np.ndarray] = {}
-    grad_inputs: dict[str, np.ndarray] = {}
     for name, loss in components.items():
         weight = float(_COMPONENT_WEIGHTS[name](weights))
         value += weight * loss.value
@@ -359,8 +358,4 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> Los
         for key, grad in loss.grad_params.items():
             contrib = weight * grad
             grad_params[key] = contrib if key not in grad_params else grad_params[key] + contrib
-        for key, grad in loss.grad_inputs.items():
-            contrib = weight * grad
-            grad_inputs[key] = contrib if key not in grad_inputs else grad_inputs[key] + contrib
-    return LossValue(value=value, grad_features=grad_features,
-                     grad_params=grad_params, grad_inputs=grad_inputs)
+    return LossValue(value=value, grad_features=grad_features, grad_params=grad_params)

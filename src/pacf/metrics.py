@@ -97,16 +97,9 @@ def proxy_a_distance(source_embeddings, target_embeddings, split_seed: int = 0) 
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # one past each tie group's last 0-based position
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[inverse]
 
 
 def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +129,13 @@ def kendall_tau(xs, ys) -> float:
     """Kendall tau-b: concordant minus discordant pairs with tie correction."""
     xs, ys = _check_pair(xs, ys)
     n = len(xs)
-    dx = np.sign(xs[:, None] - xs[None, :])
-    dy = np.sign(ys[:, None] - ys[None, :])
-    upper = np.triu_indices(n, k=1)
-    s = float(np.sum(dx[upper] * dy[upper]))
+    d = np.subtract.outer(xs, xs)
+    np.sign(d, out=d)
+    e = np.subtract.outer(ys, ys)
+    d *= np.sign(e, out=e)
+    np.fill_diagonal(d, 0.0)  # inf - inf on the diagonal is nan, not a pair
+    # the sign-product matrix is symmetric: each pair is counted twice
+    s = float(d.sum()) / 2.0
     n0 = n * (n - 1) / 2.0
 
     def tie_term(v):

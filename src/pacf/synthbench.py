@@ -72,6 +72,9 @@ class DomainShiftSpec:
     seed: int = 100
 
     def __post_init__(self):
+        for name in ("class_count", "dim", "samples_per_class", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.class_count < 1:
             raise InvalidSpec(f"class_count must be >= 1, got {self.class_count}")
         if self.dim < 2:

@@ -50,11 +50,11 @@ class RunMatrix:
     def dataset(self, s):
         if s not in self.datasets:
             self.datasets[s] = synthbench.generate(
-                experiment.default_shift_spec(seed=100 + s))
+                synthbench.DomainShiftSpec(seed=100 + s))
         return self.datasets[s]
 
     def config(self, s, variant):
-        config = experiment.default_trainer_config(seed=s)
+        config = adapt.TrainerConfig(seed=s)
         if variant == "full":
             return config
         if variant == "base":
@@ -451,10 +451,10 @@ class TestCriterion10DegenerateEquivalence:
         return we, be, wc, bc
 
     def test_criterion_10_degenerate_equivalence(self):
-        dataset = synthbench.generate(experiment.default_shift_spec(
+        dataset = synthbench.generate(synthbench.DomainShiftSpec(
             seed=100, samples_per_class=50))
         source, target = dataset.training_view()
-        config = experiment.default_trainer_config(
+        config = adapt.TrainerConfig(
             seed=0, warmup_steps=20, steps=25, feature_dim=16,
             pseudo_threshold=1.01,
             weights=LossWeights(lambda_unsup=0.0, lambda_dis=0.0,

@@ -13,7 +13,7 @@ from pacf.synthbench import LabeledBatch
 
 def tiny_config(**overrides):
     kwargs = dict(warmup_steps=5, steps=5, batch_size=8, feature_dim=4,
-                  learning_rate=0.05, ema_rate=0.9, seed=0)
+                  learning_rate=0.05, ema_rate=0.9, augment_noise=0.5, seed=0)
     kwargs.update(overrides)
     return TrainerConfig(**kwargs)
 
@@ -247,10 +247,9 @@ class TestTrainStep:
         assert rec1.loss_pce == 0.0 and rec1.loss_mut == 0.0
 
     def test_records_are_finite_on_default_benchmark(self):
-        from pacf.experiment import default_shift_spec, default_trainer_config
-        from pacf.synthbench import generate
-        pair = generate(default_shift_spec(seed=11, samples_per_class=40))
-        config = default_trainer_config(seed=1, warmup_steps=30, steps=30)
+        from pacf.synthbench import DomainShiftSpec, generate
+        pair = generate(DomainShiftSpec(seed=11, samples_per_class=40))
+        config = TrainerConfig(seed=1, warmup_steps=30, steps=30)
         result = run_experiment(pair.source, pair.target_features, config)
         for record in result.warmup_records + result.records:
             for name in ("loss_sup", "loss_unsup", "loss_dis", "loss_pce",

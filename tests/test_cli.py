@@ -1,10 +1,15 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from pacf import cli
+from pacf import cli, experiment
+from pacf.adapt import TrainerConfig
 from pacf.errors import ConfigError, IoError, MissingArtifact, ParseError
+from pacf.synthbench import DomainShiftSpec
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 SMALL_CONFIG = {
@@ -313,3 +318,47 @@ class TestConfigHash:
         base = cli.config_hash(cli.effective_config_doc(doc, None, "train"))
         overridden = cli.config_hash(cli.effective_config_doc(doc, 42, "train"))
         assert base != overridden
+
+
+
+class TestConfigParsing:
+    """Config documents resolve through the dataclasses, defaults and errors included."""
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("gen", "benchmark", "class_count", "8"),
+        ("gen", "benchmark", "samples_per_class", 2.5),
+        ("gen", "benchmark", "seed", "x"),
+        ("train", "trainer", "steps", 2.5),
+        ("train", "trainer", "batch_size", 3.5),
+        ("train", "trainer", "seed", "x"),
+    ])
+    def test_wrong_value_type_fails_with_one_line(self, tmp_path, capsys,
+                                                  command, section, key, value):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "unused")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
+        assert err.count("\n") == 1
+
+    def load(self, name):
+        return cli.load_config(os.path.join(CONFIG_DIR, name))
+
+    def test_default_config_is_trainer_defaults(self):
+        assert cli.trainer_from_config(self.load("default.json")) == TrainerConfig()
+
+    def test_baseline_config_is_baseline_of_defaults(self):
+        assert (cli.trainer_from_config(self.load("baseline.json"))
+                == experiment.baseline_config(TrainerConfig()))
+
+    def test_default_config_is_spec_defaults(self):
+        spec = cli.spec_from_config(self.load("default.json"))
+        for f in fields(DomainShiftSpec):
+            assert getattr(spec, f.name) == getattr(DomainShiftSpec(), f.name), f.name

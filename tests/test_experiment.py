@@ -6,16 +6,15 @@ from pacf import adapt, experiment, metrics, synthbench
 
 @pytest.fixture(scope="module")
 def small_setup():
-    spec = experiment.default_shift_spec(samples_per_class=60)
+    spec = synthbench.DomainShiftSpec(samples_per_class=60)
     dataset = synthbench.generate(spec)
-    config = experiment.default_trainer_config(warmup_steps=60, steps=60,
-                                               feature_dim=32)
+    config = adapt.TrainerConfig(warmup_steps=60, steps=60, feature_dim=32)
     return dataset, config
 
 
 class TestDefaults:
     def test_default_spec_shape(self):
-        spec = experiment.default_shift_spec()
+        spec = synthbench.DomainShiftSpec()
         assert spec.class_count == 8
         assert spec.dim == 32
         assert spec.samples_per_class == 200
@@ -23,7 +22,7 @@ class TestDefaults:
         assert spec.target_std_multiplier == 1.8
 
     def test_default_trainer_paper_values(self):
-        config = experiment.default_trainer_config()
+        config = adapt.TrainerConfig()
         assert config.tau == 0.05
         assert config.init_threshold == 0.8
         assert config.weights.lambda_unsup == 1.0
@@ -33,7 +32,7 @@ class TestDefaults:
         assert config.regularizer == "jsd"
 
     def test_baseline_config_disables_prototype_terms(self):
-        config = experiment.default_trainer_config()
+        config = adapt.TrainerConfig()
         baseline = experiment.baseline_config(config)
         weights = baseline.effective_weights()
         assert weights.lambda_pce == 0.0

@@ -62,10 +62,9 @@ class TestMeanShift:
         assert fwd == rev
 
     def test_known_shift_recovered_on_benchmark(self):
-        from pacf.experiment import default_shift_spec
-        from pacf.synthbench import generate
-        spec = default_shift_spec(seed=3, samples_per_class=2000,
-                                  target_std_multiplier=1.0)
+        from pacf.synthbench import DomainShiftSpec, generate
+        spec = DomainShiftSpec(seed=3, samples_per_class=2000,
+                               target_std_multiplier=1.0)
         pair = generate(spec)
         out = metrics.mean_shift(pair.source.features, pair.source.labels,
                                  pair.target_features, pair.target_hidden_labels)
@@ -179,6 +178,33 @@ class TestRankCoefficients:
         # ranks of xs: [1.5, 1.5, 3]; ys: [1, 2, 3]
         rho = metrics.spearman_rho([5.0, 5.0, 9.0], [1.0, 2.0, 3.0])
         assert rho == pytest.approx(0.866025403784438, abs=1e-12)
+
+    def test_spearman_heavy_ties_against_loop_ranks(self):
+        def loop_ranks(values):
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(len(values))
+            i = 0
+            while i < len(values):
+                j = i
+                while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            xs = rng.integers(0, int(rng.integers(1, 5)), size=n) * 0.5
+            ys = rng.integers(0, 3, size=n).astype(float)
+            rx = loop_ranks(xs) - loop_ranks(xs).mean()
+            ry = loop_ranks(ys) - loop_ranks(ys).mean()
+            denom = float(np.linalg.norm(rx) * np.linalg.norm(ry))
+            rho = metrics.spearman_rho(xs, ys)
+            if denom == 0.0:
+                assert np.isnan(rho)
+            else:
+                assert rho == float(np.dot(rx, ry) / denom)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(61)
