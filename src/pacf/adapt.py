@@ -28,13 +28,15 @@ can become pseudo labels.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch
-from .losses import LossValue, LossWeights, class_probabilities, total_loss
+from .errors import DimensionMismatch, Diverged, PacfError, ParseError
+from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, ScoredFeatureBatch, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
 
@@ -68,9 +70,10 @@ class ModelParams:
             raise DimensionMismatch("classifier shapes inconsistent with extractor")
         if self.discriminator_w.shape != (d_feat,) or self.discriminator_b.shape != ():
             raise DimensionMismatch("discriminator shapes inconsistent with extractor")
-        for key in PARAM_KEYS:
-            if not np.all(np.isfinite(getattr(self, key))):
-                raise ValueError(f"{key} contains non-finite entries")
+
+    def nonfinite_keys(self) -> list[str]:
+        """The parameters holding a non-finite entry."""
+        return [key for key in PARAM_KEYS if not np.isfinite(getattr(self, key)).all()]
 
     @property
     def input_dim(self) -> int:
@@ -105,7 +108,11 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelParams":
-        return cls(**{key: np.asarray(doc[key], dtype=np.float64) for key in PARAM_KEYS})
+        params = cls(**{key: np.asarray(doc[key], dtype=np.float64) for key in PARAM_KEYS})
+        bad = params.nonfinite_keys()
+        if bad:
+            raise ValueError(f"{bad[0]} contains non-finite entries")
+        return params
 
 
 @dataclass(frozen=True)
@@ -338,17 +345,17 @@ def _adversarial_component(params: ModelParams, src_inputs, src_emb,
 
 
 def _pce_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
-                   labels: np.ndarray, src: PrototypeSet, tgt: PrototypeSet,
+                   labels: np.ndarray, geometries: tuple[Geometry, Geometry],
                    tau: float) -> LossValue:
     """Mean prototype cross entropy over pseudo-labeled embeddings."""
-    value, grad_emb = losses.prototype_cross_entropy_batch(emb, labels, src, tgt, tau)
+    value, grad_emb = losses.prototype_cross_entropy_batch(emb, labels, geometries, tau)
     grads: dict[str, np.ndarray] = {}
     _chain_to_extractor(grad_emb, inputs, grads)
     return LossValue(value=value, grad_params=grads)
 
 
 def _mut_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
-                   probs: np.ndarray, src: PrototypeSet, tgt: PrototypeSet,
+                   probs: np.ndarray, geometries: tuple[Geometry, Geometry],
                    tau: float, kind: str) -> LossValue:
     """Mean regularizer coupling the linear distribution to both posteriors.
 
@@ -356,11 +363,24 @@ def _mut_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
     the embedding through both prototype posteriors; prototypes get none.
     """
     value, grad_logits, grad_emb_src, grad_emb_tgt = losses.mutual_regularization_batch(
-        emb, probs, src, tgt, tau, kind, params.class_count)
+        emb, probs, geometries, tau, kind, params.class_count)
     grads = _chain_to_classifier(grad_logits, emb)
     grad_emb = grad_logits @ params.classifier_w.T + grad_emb_src + grad_emb_tgt
     _chain_to_extractor(grad_emb, inputs, grads)
     return LossValue(value=value, grad_params=grads)
+
+
+def _check_finite(student: ModelParams, components: dict[str, LossValue], step: int,
+                  warmup: bool) -> None:
+    """Raise :class:`Diverged` when a loss term or an updated parameter is not finite."""
+    terms = [name for name, loss in components.items() if not math.isfinite(loss.value)]
+    params = student.nonfinite_keys()
+    if terms or params:
+        parts = [f"{kind} {', '.join(names)}" for kind, names in
+                 (("loss terms", terms), ("parameters", params)) if names]
+        phase = "warm-up" if warmup else "adaptation"
+        raise Diverged(f"training diverged at {phase} step {step}: non-finite "
+                       + " and ".join(parts))
 
 
 def _prototypes_ready(state: AdaptationState) -> bool:
@@ -401,32 +421,34 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
 
     weights = config.effective_weights()
     components = {"sup": _cross_entropy_component(student, xs_aug, emb_s, probs_s, ys)}
+    kept = pseudo.indices
+    xt_kept, emb_kept, probs_kept = xt_aug[kept], emb_t[kept], probs_t[kept]
     if len(pseudo) and weights.lambda_unsup > 0.0:
-        kept = pseudo.indices
         components["unsup"] = _cross_entropy_component(
-            student, xt_aug[kept], emb_t[kept], probs_t[kept], pseudo.labels)
+            student, xt_kept, emb_kept, probs_kept, pseudo.labels)
     if not warmup and weights.lambda_dis > 0.0:
         components["dis"] = _adversarial_component(student, xs_aug, emb_s, xt_aug, emb_t)
-    if len(pseudo) and _prototypes_ready(state):
-        kept = pseudo.indices
+    if (len(pseudo) and _prototypes_ready(state)
+            and (weights.lambda_pce > 0.0 or weights.lambda_mut > 0.0)):
+        geometries = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos)
         if weights.lambda_pce > 0.0:
             components["pce"] = _pce_component(
-                student, xt_aug[kept], emb_t[kept], pseudo.labels,
-                state.src_protos, state.tgt_protos, config.tau)
+                student, xt_kept, emb_kept, pseudo.labels, geometries, config.tau)
         if weights.lambda_mut > 0.0:
             components["mut"] = _mut_component(
-                student, xt_aug[kept], emb_t[kept], probs_t[kept],
-                state.src_protos, state.tgt_protos, config.tau, config.regularizer)
+                student, xt_kept, emb_kept, probs_kept, geometries, config.tau,
+                config.regularizer)
 
     combined = total_loss(components, weights)
     new_student = student.apply_gradients(combined.grad_params, config.learning_rate)
+    _check_finite(new_student, components, state.step + 1, warmup)
 
     src_protos = state.src_protos
     tgt_protos = state.tgt_protos
     if not warmup and src_protos is not None:
         src_protos = update_all(src_protos, emb_s, ys)
         if len(pseudo) and tgt_protos is not None:
-            tgt_protos = update_all(tgt_protos, emb_t[pseudo.indices], pseudo.labels)
+            tgt_protos = update_all(tgt_protos, emb_kept, pseudo.labels)
 
     teacher = state.teacher if warmup else ema_update(state.teacher, new_student,
                                                       config.ema_rate)
@@ -529,17 +551,33 @@ def checkpoint_to_json_dict(state: AdaptationState, config: TrainerConfig,
     }
 
 
-def state_from_checkpoint(doc: dict) -> tuple[AdaptationState, TrainerConfig, str]:
-    """Rebuild a state (with a fresh RNG) plus its trainer config and hash."""
-    config = TrainerConfig.from_json_dict(doc["trainer_config"])
+def state_from_checkpoint(doc: dict, path: str = "checkpoint"
+                          ) -> tuple[AdaptationState, TrainerConfig, str]:
+    """Rebuild a state (with a fresh RNG) plus its trainer config and hash.
+
+    A missing key or a malformed entry raises :class:`ParseError` naming
+    ``path`` and the key.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a checkpoint must be a JSON object")
+
+    def entry(key: str, parse, optional: bool = False):
+        if optional and not doc.get(key):
+            return None
+        if key not in doc:
+            raise ParseError(f"{path}: missing key {key!r}")
+        try:
+            return parse(doc[key])
+        except (AttributeError, KeyError, TypeError, ValueError, PacfError) as exc:
+            raise ParseError(f"{path}: malformed {key!r}: {type(exc).__name__}: {exc}") from exc
+
+    config = entry("trainer_config", TrainerConfig.from_json_dict)
     state = AdaptationState(
-        student=ModelParams.from_json_dict(doc["student"]),
-        teacher=ModelParams.from_json_dict(doc["teacher"]),
-        src_protos=PrototypeSet.from_json_dict(doc["src_prototypes"])
-        if doc.get("src_prototypes") else None,
-        tgt_protos=PrototypeSet.from_json_dict(doc["tgt_prototypes"])
-        if doc.get("tgt_prototypes") else None,
-        step=int(doc["step"]),
+        student=entry("student", ModelParams.from_json_dict),
+        teacher=entry("teacher", ModelParams.from_json_dict),
+        src_protos=entry("src_prototypes", PrototypeSet.from_json_dict, optional=True),
+        tgt_protos=entry("tgt_prototypes", PrototypeSet.from_json_dict, optional=True),
+        step=entry("step", operator.index),
         rng=np.random.Generator(np.random.PCG64(config.seed)),
     )
     return state, config, doc.get("config_hash", "")

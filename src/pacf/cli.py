@@ -218,7 +218,10 @@ def cmd_train(args) -> int:
     config = trainer_from_config(effective)
     cfg_hash = config_hash(effective)
     source, target, hidden = _load_data_dir(args.data)
-    result = adapt.run_experiment(source, target, config)
+    # a diverging run ends in one Diverged line; numpy's overflow warnings on
+    # the way there would only add lines before it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = adapt.run_experiment(source, target, config)
     evaluation = evaluate_state(result.state, config, source, target, hidden)
 
     _write_json(os.path.join(out, "checkpoint.json"),
@@ -238,7 +241,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _require_out_dir(args.out)
-    state, config, cfg_hash = adapt.state_from_checkpoint(_read_json(args.checkpoint))
+    state, config, cfg_hash = adapt.state_from_checkpoint(_read_json(args.checkpoint),
+                                                          args.checkpoint)
     source, target, hidden = _load_data_dir(args.data)
     evaluation = evaluate_state(state, config, source, target, hidden)
     files = _write_eval_artifacts(out, evaluation, cfg_hash)

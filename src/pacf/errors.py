@@ -47,3 +47,7 @@ class MissingArtifact(PacfError):
 
 class ConfigError(PacfError):
     """An experiment config document is malformed or has unknown keys."""
+
+
+class Diverged(PacfError):
+    """Training produced a non-finite loss or parameter; the message names the step."""

@@ -5,7 +5,9 @@ classifier's distributions over them). It returns the batch-mean value in
 nats and the gradient of that mean with respect to its inputs: logits,
 features, or the discriminator's own parameters. The trainer in
 :mod:`pacf.adapt` chains those gradients to its parameters. The ``*_rows``
-kernels they build on return per-row values and per-row gradients.
+kernels they build on return per-row values and per-row gradients. The two
+prototype terms read the features' :class:`Geometry` against each prototype
+set from :func:`prototype_geometries`, which a step computes once for both.
 
 The public per-instance operations (:func:`prototype_posterior`,
 :func:`prototype_cross_entropy`, :func:`regularizer_variant`,
@@ -31,7 +33,7 @@ softmax row would be, so its logits and cosines have one column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -144,8 +146,26 @@ def cosine_grad_to_features(grad_cos: np.ndarray, cos: np.ndarray, features: np.
     return grad_cos @ matrix / norms[:, None] - radial[:, None] * features / (norms ** 2)[:, None]
 
 
+class Geometry(NamedTuple):
+    """A batch of features against one prototype set."""
+
+    matrix: np.ndarray  # (classes, dim) unit prototype rows
+    norms: np.ndarray   # (n,) feature row norms
+    cos: np.ndarray     # (n, classes) cosine of each feature to each prototype
+
+
+def prototype_geometries(features: np.ndarray, src: PrototypeSet, tgt: PrototypeSet
+                         ) -> tuple[Geometry, Geometry]:
+    """The geometry of ``features`` against the source and the target set, in that order.
+
+    The prototype terms of one step share it, so it is computed once per set.
+    """
+    return tuple(Geometry(m, *prototype_geometry(features, m))
+                 for m in (src.matrix(), tgt.matrix()))
+
+
 def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
-                                  src: PrototypeSet, tgt: PrototypeSet, tau: float
+                                  geometries: tuple[Geometry, Geometry], tau: float
                                   ) -> tuple[float, np.ndarray]:
     """Mean prototype cross entropy over both domains and its feature gradient.
 
@@ -155,13 +175,11 @@ def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
     n = len(labels)
     value = 0.0
     grad = np.zeros_like(features)
-    for pset in (src, tgt):
-        matrix = pset.matrix()
-        norms, cos = prototype_geometry(features, matrix)
+    for matrix, norms, cos in geometries:
         scores = cos / tau
         log_probs = log_probabilities(scores)
         # softmax rows reuse exp(log p); a sigmoid pair keeps the linear head's sigmoid
-        probs = class_probabilities(scores) if pset.class_count == 1 else np.exp(log_probs)
+        probs = class_probabilities(scores) if cos.shape[1] == 1 else np.exp(log_probs)
         nll, grad_scores = cross_entropy_rows(log_probs, probs, labels, cos.shape[1])
         value += float(nll.mean())
         grad += cosine_grad_to_features(grad_scores / tau / n, cos, features, norms, matrix)
@@ -193,7 +211,7 @@ def regularizer_rows(kind: str, p_lin: np.ndarray, p_src: np.ndarray, p_tgt: np.
 
 
 def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray,
-                                src: PrototypeSet, tgt: PrototypeSet, tau: float,
+                                geometries: tuple[Geometry, Geometry], tau: float,
                                 kind: str, logit_width: int
                                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean regularizer coupling the linear distribution to both prototype posteriors.
@@ -203,15 +221,11 @@ def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray,
     posterior (kept apart so the caller adds them in a fixed order).
     """
     n = len(features)
-    branches = []
-    for pset in (src, tgt):
-        matrix = pset.matrix()
-        norms, cos = prototype_geometry(features, matrix)
-        branches.append((matrix, norms, cos, class_probabilities(cos / tau)))
-    values, g_lin, g_src, g_tgt = regularizer_rows(kind, probs, branches[0][3], branches[1][3])
+    posteriors = [class_probabilities(g.cos / tau) for g in geometries]
+    values, g_lin, g_src, g_tgt = regularizer_rows(kind, probs, *posteriors)
     grad_logits = mathcore.softmax_vjp_rows(probs, g_lin)[:, :logit_width] / n
     grad_features = []
-    for (matrix, norms, cos, post), g_post in zip(branches, (g_src, g_tgt)):
+    for (matrix, norms, cos), post, g_post in zip(geometries, posteriors, (g_src, g_tgt)):
         grad_cos = mathcore.softmax_vjp_rows(post, g_post)[:, :cos.shape[1]] / tau / n
         grad_features.append(cosine_grad_to_features(grad_cos, cos, features, norms, matrix))
     return float(values.mean()), grad_logits, *grad_features
@@ -255,8 +269,9 @@ def prototype_cross_entropy(x, pseudo_label: int, src: PrototypeSet, tgt: Protot
     if not (0 <= pseudo_label < max(src.class_count, 2)):
         raise ValueError(f"pseudo label {pseudo_label} out of range")
     tau = mathcore._check_temperature(tau)
-    value, grad = prototype_cross_entropy_batch(mathcore.as_vector(x)[None],
-                                                np.array([pseudo_label]), src, tgt, tau)
+    x = mathcore.as_vector(x)[None]
+    value, grad = prototype_cross_entropy_batch(x, np.array([pseudo_label]),
+                                                prototype_geometries(x, src, tgt), tau)
     return LossValue(value=value, grad_features=grad[0])
 
 

@@ -113,8 +113,10 @@ def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spearman_rho(xs, ys) -> float:
-    """Spearman rank correlation; ties receive average ranks."""
+    """Spearman rank correlation; ties receive average ranks. A NaN input gives nan."""
     xs, ys = _check_pair(xs, ys)
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return float("nan")
     rx = _rankdata(xs)
     ry = _rankdata(ys)
     rx = rx - rx.mean()

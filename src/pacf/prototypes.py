@@ -5,6 +5,18 @@ domain. Prototypes are initialized from confidence-filtered features and
 then refreshed with a cosine-weighted moving average: the closer the
 mini-batch mean is to the current prototype, the more it overwrites it.
 Prototypes are plain buffers; no gradient ever flows into them.
+
+Maintenance is one batched pass per set (:func:`update_all`):
+:func:`class_means` takes class counts with ``np.bincount`` and class sums
+with one one-hot ``(classes x n) @ features`` product, :func:`blend_rows`
+computes every class's cosine, blend weight, blend and renormalization as
+row operations, and the new rows are stored after one unit-norm check.
+Initialization is that pass on an empty set; :func:`minibatch_prototypes`,
+:func:`blend_weight` and :func:`update_prototype` are batch-of-one views.
+
+A set keeps one read-only row per class, so an update shares the rows of
+the classes it did not touch; the stacked :meth:`PrototypeSet.matrix` is
+built on its first read, so a set that is only written never builds it.
 """
 
 from __future__ import annotations
@@ -14,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
-from .mathcore import cosine_similarity, l2_normalize
+# cosine_similarity and l2_normalize are re-exported: callers import them from here
+from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
@@ -55,6 +68,10 @@ class ScoredFeatureBatch:
         return len(self.features)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
 class PrototypeSet:
     """Unit-norm prototypes for one domain, keyed by class id 0..class_count-1.
 
@@ -74,20 +91,37 @@ class PrototypeSet:
         self.class_count = int(class_count)
         self.dim = int(dim)
         self._prototypes: dict[int, np.ndarray] = {}
-        for class_id, vec in (prototypes or {}).items():
-            self._store(int(class_id), vec)
+        self._matrix: np.ndarray | None = None
+        if prototypes:
+            self._store(*self._stack(prototypes))
 
-    def _store(self, class_id: int, vec) -> None:
-        if not (0 <= class_id < self.class_count):
-            raise ValueError(f"class id {class_id} outside 0..{self.class_count - 1}")
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(f"prototype for class {class_id} has shape {vec.shape}, "
-                                    f"expected ({self.dim},)")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"prototype for class {class_id} has norm {norm!r}, expected 1")
-        self._prototypes[class_id] = vec
+    def _stack(self, updates: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Class ids and a fresh (m, dim) array of the given rows."""
+        rows = []
+        for class_id, vec in updates.items():
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (self.dim,):
+                raise DimensionMismatch(f"prototype for class {class_id} has shape {vec.shape}, "
+                                        f"expected ({self.dim},)")
+            rows.append(vec)
+        classes = np.array([int(k) for k in updates], dtype=np.int64)
+        return classes, np.array(rows) if rows else np.empty((0, self.dim))
+
+    def _store(self, classes: np.ndarray, rows: np.ndarray) -> None:
+        """Check new rows all at once, then store them as read-only views.
+
+        ``rows`` must be a fresh (len(classes), dim) array that no caller holds.
+        """
+        outside = classes[(classes < 0) | (classes >= self.class_count)]
+        if len(outside):
+            raise ValueError(f"class id {int(outside[0])} outside 0..{self.class_count - 1}")
+        norms = _row_norms(rows)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        if len(off):
+            raise ValueError(f"prototype for class {int(classes[off[0]])} has norm "
+                             f"{float(norms[off[0]])!r}, expected 1")
+        rows.flags.writeable = False
+        self._prototypes.update(zip(classes.tolist(), rows))
 
     def is_initialized(self, class_id: int) -> bool:
         return class_id in self._prototypes
@@ -106,21 +140,30 @@ class PrototypeSet:
         return self._prototypes[class_id]
 
     def matrix(self) -> np.ndarray:
-        """All prototypes stacked as a (class_count, dim) array; requires a full set."""
-        missing = [k for k in range(self.class_count) if k not in self._prototypes]
-        if missing:
-            raise UninitializedPrototype(
-                f"{self.domain} prototypes uninitialized for classes {missing}")
-        return np.stack([self._prototypes[k] for k in range(self.class_count)])
+        """All prototypes stacked as a read-only (class_count, dim) array; requires a full set.
+
+        Built on the first read and kept, since a set never changes after it
+        is made.
+        """
+        if self._matrix is None:
+            missing = [k for k in range(self.class_count) if k not in self._prototypes]
+            if missing:
+                raise UninitializedPrototype(
+                    f"{self.domain} prototypes uninitialized for classes {missing}")
+            matrix = np.array([self._prototypes[k] for k in range(self.class_count)])
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
+    def _with_rows(self, classes: np.ndarray, rows: np.ndarray) -> "PrototypeSet":
+        out = PrototypeSet(self.domain, self.class_count, self.dim)
+        out._prototypes = dict(self._prototypes)
+        out._store(classes, rows)
+        return out
 
     def with_updates(self, updates: dict[int, np.ndarray]) -> "PrototypeSet":
         """New set with the given classes replaced; untouched classes share storage."""
-        merged = dict(self._prototypes)
-        out = PrototypeSet(self.domain, self.class_count, self.dim)
-        out._prototypes = merged
-        for class_id, vec in updates.items():
-            out._store(int(class_id), vec)
-        return out
+        return self._with_rows(*self._stack(updates))
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,76 +181,131 @@ class PrototypeSet:
         return cls(doc["domain"], int(doc["class_count"]), int(doc["dim"]), protos)
 
 
-def initialize_prototypes(batch: ScoredFeatureBatch, threshold: float, domain: str,
-                          class_count: int) -> PrototypeSet:
-    """Prototype per class = normalized mean of its features scoring >= threshold.
+# --- batched kernels ----------------------------------------------------------
 
-    Classes with no qualifying feature are left uninitialized.
-    """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    if len(batch) == 0:
-        raise EmptyBatch("cannot initialize prototypes from an empty batch")
-    pset = PrototypeSet(domain, class_count, batch.features.shape[1])
-    updates: dict[int, np.ndarray] = {}
-    for class_id in range(class_count):
-        mask = (batch.labels == class_id) & (batch.scores >= threshold)
-        if np.any(mask):
-            updates[class_id] = l2_normalize(batch.features[mask].mean(axis=0))
-    return pset.with_updates(updates)
-
-
-def minibatch_prototypes(features, labels) -> dict[int, np.ndarray]:
-    """Per-class arithmetic mean of the batch features, not yet normalized."""
+def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
         raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
     if labels.ndim != 1 or len(labels) != len(features):
         raise DimensionMismatch("labels must be 1-D and match the feature count")
+    return features, labels
+
+
+def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The classes present in a non-empty batch and the arithmetic mean of each one's rows.
+
+    Labels outside 0..class_count-1 raise ValueError. The means are not
+    normalized.
+    """
+    outside = (labels < 0) | (labels >= class_count)
+    if np.any(outside):
+        raise ValueError(f"labels {sorted(set(labels[outside].tolist()))} "
+                         f"outside 0..{class_count - 1}")
+    counts = np.bincount(labels, minlength=class_count)
+    present = np.flatnonzero(counts)
+    onehot = (labels == present[:, None]).astype(np.float64)
+    return present, (onehot @ features) / counts[present, None]
+
+
+def blend_rows(prev: np.ndarray, means: np.ndarray, mean_norms: np.ndarray,
+               initialized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row blend weight and renormalized blend of ``prev`` toward ``means``.
+
+    alpha = (cos(prev, mean) + 1) / 2, so an aligned mean replaces the
+    prototype (alpha = 1) and an opposed mean leaves it unchanged (alpha = 0).
+    The mean is deliberately not normalized before blending; only the result
+    is. A row that is not ``initialized`` has no previous prototype: its
+    ``prev`` row must be zero, and it takes alpha = 1, the normalized mean.
+    ``mean_norms`` are the row norms of ``means``, none of them zero.
+    """
+    prev_norms = np.where(initialized, _row_norms(prev), 1.0)
+    cos = np.einsum("ij,ij->i", prev, means) / (prev_norms * mean_norms)
+    alpha = np.where(initialized, (cos + 1.0) / 2.0, 1.0)
+    blended = (1.0 - alpha)[:, None] * prev + alpha[:, None] * means
+    return alpha, blended / _row_norms(blended)[:, None]
+
+
+# --- prototype maintenance --------------------------------------------------------
+
+def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
+    """Update the prototypes of every class present in the batch, in one batched pass.
+
+    Initialized classes blend toward their mini-batch mean (see
+    :func:`blend_rows`); uninitialized ones adopt the normalized mean. Absent
+    classes are untouched and keep their rows, so an empty batch returns the
+    set unchanged.
+    """
+    if len(np.asarray(features)) == 0:
+        return pset
+    features, labels = _check_batch(features, labels)
+    if features.shape[1] != pset.dim:
+        raise DimensionMismatch(
+            f"feature dim {features.shape[1]} does not match prototype dim {pset.dim}")
+    present, means = class_means(features, labels, pset.class_count)
+    classes = present.tolist()
+    mean_norms = _row_norms(means)
+    bad = ~np.isfinite(mean_norms)
+    if np.any(bad):
+        raise ValueError(f"mini-batch mean for class {classes[int(np.argmax(bad))]} "
+                         "contains non-finite entries")
+    zero = mean_norms <= NORM_EPS
+    if np.any(zero):
+        raise ZeroVector(f"mini-batch mean for class {classes[int(np.argmax(zero))]} is zero")
+    stored = pset._prototypes
+    zero = np.zeros(pset.dim)
+    prev = np.array([stored.get(k, zero) for k in classes])
+    _, rows = blend_rows(prev, means, mean_norms, np.array([k in stored for k in classes]))
+    return pset._with_rows(present, rows)
+
+
+def initialize_prototypes(batch: ScoredFeatureBatch, threshold: float, domain: str,
+                          class_count: int) -> PrototypeSet:
+    """Prototype per class = normalized mean of its features scoring >= threshold.
+
+    Labels at or above ``class_count`` (the "no class" outcome of a
+    single-class model) never qualify. Classes with no qualifying feature are
+    left uninitialized.
+    """
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
+    if len(batch) == 0:
+        raise EmptyBatch("cannot initialize prototypes from an empty batch")
+    keep = (batch.scores >= threshold) & (batch.labels < class_count)
+    return update_all(PrototypeSet(domain, class_count, batch.features.shape[1]),
+                      batch.features[keep], batch.labels[keep])
+
+
+def minibatch_prototypes(features, labels) -> dict[int, np.ndarray]:
+    """Per-class arithmetic mean of the batch features, not yet normalized."""
+    features, labels = _check_batch(features, labels)
     if len(features) == 0:
         raise EmptyBatch("cannot build mini-batch prototypes from an empty batch")
-    return {int(k): features[labels == k].mean(axis=0) for k in np.unique(labels)}
+    present, means = class_means(features, labels, int(labels.max()) + 1)
+    return dict(zip(present.tolist(), means))
+
+
+def _blend_one(prev, minibatch_mean) -> tuple[float, np.ndarray]:
+    """:func:`blend_rows` on one (prev, mean) pair, validated as vectors."""
+    prev = as_vector(prev)
+    mean = as_vector(minibatch_mean)
+    if prev.shape != mean.shape:
+        raise DimensionMismatch(f"dimension mismatch: {prev.shape} vs {mean.shape}")
+    pair = np.array([prev, mean])
+    norms = _row_norms(pair)
+    if np.any(norms <= NORM_EPS):
+        raise ZeroVector("the blend weight is undefined for a zero prototype or mean")
+    alpha, rows = blend_rows(pair[:1], pair[1:], norms[1:], np.ones(1, dtype=bool))
+    return float(alpha[0]), rows[0]
 
 
 def blend_weight(prev, minibatch_mean) -> float:
     """Cosine similarity mapped to [0, 1]: alpha = (cos + 1) / 2."""
-    return (cosine_similarity(prev, minibatch_mean) + 1.0) / 2.0
+    return _blend_one(prev, minibatch_mean)[0]
 
 
 def update_prototype(prev, minibatch_mean) -> np.ndarray:
-    """Blend the previous prototype toward the mini-batch mean, then renormalize.
-
-    alpha = (cos(prev, mean) + 1) / 2, so an aligned mean replaces the
-    prototype (alpha = 1) and an opposed mean leaves it unchanged (alpha = 0).
-    The mean is deliberately not normalized before blending; only the result is.
-    """
-    prev = np.asarray(prev, dtype=np.float64)
-    alpha = blend_weight(prev, minibatch_mean)
-    blended = (1.0 - alpha) * prev + alpha * np.asarray(minibatch_mean, dtype=np.float64)
-    return l2_normalize(blended)
-
-
-def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
-    """Update the prototypes of every class present in the batch.
-
-    Initialized classes blend via :func:`update_prototype`; uninitialized ones
-    adopt the normalized mini-batch mean directly. Absent classes are
-    untouched, so an empty batch returns the set unchanged.
-    """
-    if len(np.asarray(features)) == 0:
-        return pset
-    means = minibatch_prototypes(features, labels)
-    bad = [k for k in means if not (0 <= k < pset.class_count)]
-    if bad:
-        raise ValueError(f"labels {bad} outside 0..{pset.class_count - 1}")
-    updates: dict[int, np.ndarray] = {}
-    for class_id in sorted(means):
-        mean = means[class_id]
-        if float(np.linalg.norm(mean)) <= 1e-12:
-            raise ZeroVector(f"mini-batch mean for class {class_id} is zero")
-        if pset.is_initialized(class_id):
-            updates[class_id] = update_prototype(pset.get(class_id), mean)
-        else:
-            updates[class_id] = l2_normalize(mean)
-    return pset.with_updates(updates)
+    """Blend the previous prototype toward the mini-batch mean, then renormalize."""
+    return _blend_one(prev, minibatch_mean)[1]

@@ -364,7 +364,8 @@ class TestBatchComponentsMatchPerInstanceOps:
         params, src, tgt, inputs, labels = self.setup_state()
         emb, _ = forward(params, inputs)
         tau = 0.2
-        component = adapt._pce_component(params, inputs, emb, labels, src, tgt, tau)
+        component = adapt._pce_component(params, inputs, emb, labels,
+                                         losses.prototype_geometries(emb, src, tgt), tau)
         per_instance = [losses.prototype_cross_entropy(emb[i], int(labels[i]), src, tgt, tau)
                         for i in range(len(labels))]
         assert component.value == pytest.approx(
@@ -379,7 +380,8 @@ class TestBatchComponentsMatchPerInstanceOps:
         params, src, tgt, inputs, labels = self.setup_state()
         emb, probs = forward(params, inputs)
         tau = 0.3
-        component = adapt._mut_component(params, inputs, emb, probs, src, tgt, tau, kind)
+        component = adapt._mut_component(params, inputs, emb, probs,
+                                         losses.prototype_geometries(emb, src, tgt), tau, kind)
         values = []
         for i in range(len(inputs)):
             p_src = losses.prototype_posterior(emb[i], src, tau)
@@ -396,11 +398,13 @@ class TestBatchComponentsMatchPerInstanceOps:
             trial = params.copy()
             trial.extractor_w = flat_we.reshape(params.extractor_w.shape)
             emb, probs = forward(trial, inputs)
-            return adapt._mut_component(trial, inputs, emb, probs, src, tgt,
+            return adapt._mut_component(trial, inputs, emb, probs,
+                                        losses.prototype_geometries(emb, src, tgt),
                                         tau, kind).value
 
         emb, probs = forward(params, inputs)
-        component = adapt._mut_component(params, inputs, emb, probs, src, tgt, tau, kind)
+        component = adapt._mut_component(params, inputs, emb, probs,
+                                         losses.prototype_geometries(emb, src, tgt), tau, kind)
         numeric = mathcore.finite_difference_gradient(
             objective, params.extractor_w.ravel(), 1e-6)
         analytic = component.grad_params["extractor_w"].ravel()
@@ -454,8 +458,10 @@ class TestComponentGradientsAgainstFiniteDifferences:
                 return adapt._adversarial_component(params, inputs[:4], emb[:4],
                                                     inputs[4:], emb[4:])
             if name == "pce":
-                return adapt._pce_component(params, inputs, emb, labels, src, tgt, self.TAU)
-            return adapt._mut_component(params, inputs, emb, probs, src, tgt, self.TAU,
+                return adapt._pce_component(params, inputs, emb, labels,
+                                            losses.prototype_geometries(emb, src, tgt), self.TAU)
+            return adapt._mut_component(params, inputs, emb, probs,
+                                        losses.prototype_geometries(emb, src, tgt), self.TAU,
                                         name.split("-")[1])
         return loss_of
 

@@ -203,6 +203,24 @@ class TestTrain:
         assert err.startswith("error: ParseError: ")
         assert "target.csv line 6" in err
 
+    @pytest.mark.filterwarnings("error")  # nothing but the one error line
+    def test_diverging_run_fails_with_step(self, tmp_path, config_path, capsys):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["trainer"].update({"learning_rate": 1e6, "warmup_steps": 50, "steps": 50})
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        data.mkdir()
+        run(["gen", "--config", config_path, "--out", str(data)])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["train", "--config", str(path), "--data", str(data),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: Diverged: ")
+        assert "step " in err
+
 
 class TestEval:
     def test_eval_after_train_matches_report(self, trained_run, tmp_path):
@@ -250,6 +268,44 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                     "--data", str(data), "--out", str(out)]) == 1
         assert "IoError" in capsys.readouterr().err
+
+    def eval_checkpoint(self, data, tmp_path, doc):
+        path = tmp_path / "bad_checkpoint.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(out)])
+        return code, str(path)
+
+    def test_checkpoint_missing_key_fails_with_one_line(self, trained_run, tmp_path, capsys):
+        data, _ = trained_run
+        code, path = self.eval_checkpoint(data, tmp_path, {"format": "x"})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert path in err and "'trainer_config'" in err
+
+    @pytest.mark.parametrize("key, corrupt", [
+        ("student", lambda doc: doc["student"].update(extractor_w="oops")),
+        ("teacher", lambda doc: doc["teacher"].pop("classifier_b")),
+        ("src_prototypes",
+         lambda doc: doc["src_prototypes"]["prototypes"]["0"].__setitem__(0, 3.0)),
+        ("tgt_prototypes", lambda doc: doc["tgt_prototypes"].update(prototypes=[])),
+        ("trainer_config", lambda doc: doc["trainer_config"].update(tau=-1.0)),
+        ("step", lambda doc: doc.update(step=80.5)),
+    ])
+    def test_malformed_checkpoint_entry_fails_with_one_line(self, trained_run, tmp_path,
+                                                            capsys, key, corrupt):
+        data, run_dir = trained_run
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        corrupt(doc)
+        code, path = self.eval_checkpoint(data, tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert path in err and repr(key) in err
 
 
 class TestReport:

@@ -215,6 +215,12 @@ class TestRankCoefficients:
         assert metrics.spearman_rho(np.exp(xs), ys) == pytest.approx(rho, abs=1e-12)
         assert metrics.kendall_tau(xs, ys ** 3) == pytest.approx(tau, abs=1e-12)
 
+    def test_nan_input_gives_nan_like_kendall(self):
+        for xs, ys in (([1.0, np.nan, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+                       ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, np.nan, 1.0])):
+            assert np.isnan(metrics.spearman_rho(xs, ys))
+            assert np.isnan(metrics.kendall_tau(xs, ys))
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             metrics.spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])

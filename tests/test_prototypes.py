@@ -2,10 +2,26 @@ import numpy as np
 import pytest
 
 from pacf import mathcore
-from pacf.errors import EmptyBatch, UninitializedPrototype, ZeroVector
+from pacf.errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
 from pacf.prototypes import (PrototypeSet, ScoredFeatureBatch, blend_weight,
                              initialize_prototypes, minibatch_prototypes,
                              update_all, update_prototype)
+
+
+def oracle_update_prototype(prev, mean):
+    """The per-class update as it was before prototype maintenance was batched."""
+    alpha = (mathcore.cosine_similarity(prev, mean) + 1.0) / 2.0
+    return mathcore.l2_normalize((1.0 - alpha) * np.asarray(prev) + alpha * np.asarray(mean))
+
+
+def oracle_update_all(protos, features, labels):
+    """Per-class loop over the classes present: blend if initialized, else adopt."""
+    out = dict(protos)
+    for k in np.unique(labels):
+        mean = features[labels == k].mean(axis=0)
+        out[int(k)] = (oracle_update_prototype(protos[int(k)], mean) if int(k) in protos
+                       else mathcore.l2_normalize(mean))
+    return out
 
 
 def make_batch(features, labels, scores):
@@ -168,6 +184,102 @@ class TestUpdateAll:
         assert updated.initialized_classes() == pset.initialized_classes()
         for k in pset.initialized_classes():
             assert updated.get(k) is pset.get(k)
+
+
+class TestBatchedUpdateAgainstPerClassOracle:
+    """The batched update equals the old per-class loop, error types included."""
+
+    @pytest.mark.parametrize("class_count", [1, 2, 8])
+    def test_random_batches(self, class_count):
+        rng = np.random.default_rng(40 + class_count)
+        for _ in range(60):
+            dim = int(rng.integers(2, 17))
+            initialized = rng.random(class_count) < 0.6  # partly initialized sets
+            protos = {k: mathcore.l2_normalize(rng.normal(size=dim))
+                      for k in range(class_count) if initialized[k]}
+            pset = PrototypeSet("target", class_count, dim, protos)
+            n = int(rng.integers(1, 3 * class_count + 2))  # many classes get a single row
+            features = rng.normal(size=(n, dim)) * 10 ** rng.uniform(-2, 2)
+            labels = rng.integers(0, class_count, size=n)
+            updated = update_all(pset, features, labels)
+            expected = oracle_update_all(
+                {k: pset.get(k) for k in pset.initialized_classes()}, features, labels)
+            assert updated.initialized_classes() == sorted(expected)
+            for k, row in expected.items():
+                np.testing.assert_allclose(updated.get(k), row, rtol=0, atol=1e-12)
+                if k not in labels:
+                    assert updated.get(k) is pset.get(k)
+
+    def test_batch_of_one_views(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            dim = int(rng.integers(1, 9))
+            prev = mathcore.l2_normalize(rng.normal(size=dim))
+            mean = rng.normal(size=dim) * 10 ** rng.uniform(-2, 2)
+            np.testing.assert_allclose(update_prototype(prev, mean),
+                                       oracle_update_prototype(prev, mean), rtol=0, atol=1e-12)
+            assert blend_weight(prev, mean) == pytest.approx(
+                (mathcore.cosine_similarity(prev, mean) + 1.0) / 2.0, abs=1e-12)
+
+    def make_set(self):
+        return PrototypeSet("source", 3, 2, {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])})
+
+    @pytest.mark.parametrize("labels", [[5], [3], [-1], [0, 7]])
+    def test_label_out_of_range(self, labels):
+        with pytest.raises(ValueError):
+            update_all(self.make_set(), np.ones((len(labels), 2)), labels)
+
+    @pytest.mark.parametrize("label", [0, 2])  # an initialized and an uninitialized class
+    def test_zero_class_mean(self, label):
+        with pytest.raises(ZeroVector):
+            update_all(self.make_set(), [[1.0, 2.0], [-1.0, -2.0]], [label, label])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the class sums
+    @pytest.mark.parametrize("label", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, label, bad):
+        with pytest.raises(ValueError):
+            update_all(self.make_set(), [[bad, 1.0], [0.5, 0.5]], [label, 1])
+
+    def test_empty_batch(self):
+        pset = self.make_set()
+        assert update_all(pset, np.empty((0, 2)), np.empty(0, dtype=int)) is pset
+        with pytest.raises(EmptyBatch):
+            minibatch_prototypes(np.empty((0, 2)), np.empty(0, dtype=int))
+        with pytest.raises(EmptyBatch):
+            initialize_prototypes(make_batch(np.empty((0, 2)), np.empty(0, dtype=int),
+                                             np.empty(0)), 0.8, "source", 3)
+
+    def test_feature_dim_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            update_all(self.make_set(), [[1.0, 0.0, 0.0]], [0])
+
+
+class TestPrototypeMatrix:
+    def full_set(self):
+        return PrototypeSet("source", 3, 2, {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0]),
+                                             2: np.array([0.6, 0.8])})
+
+    def test_read_only(self):
+        pset = self.full_set()
+        matrix = pset.matrix()
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+        assert not pset.get(0).flags.writeable
+        with pytest.raises(ValueError):
+            pset.get(0)[0] = 2.0
+        assert pset.matrix() is matrix
+
+    def test_never_stale_after_updates(self):
+        pset = self.full_set()
+        before = pset.matrix().copy()
+        updated = pset.with_updates({1: np.array([0.8, -0.6])})
+        np.testing.assert_array_equal(updated.matrix(), [[1.0, 0.0], [0.8, -0.6], [0.6, 0.8]])
+        np.testing.assert_array_equal(pset.matrix(), before)
+        again = update_all(updated, [[0.0, 3.0], [1.0, 1.0]], [0, 2])
+        np.testing.assert_array_equal(again.matrix(), np.stack([again.get(k) for k in range(3)]))
+        np.testing.assert_array_equal(again.matrix()[1], updated.matrix()[1])
 
 
 class TestPrototypeSetJson:
