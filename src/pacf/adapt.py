@@ -35,9 +35,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, Diverged, PacfError, ParseError
+from .errors import DimensionMismatch, Diverged, entry_reader
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
-from .prototypes import PrototypeSet, ScoredFeatureBatch, initialize_prototypes, update_all
+from .prototypes import PrototypeSet, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
 
 PARAM_KEYS = (
@@ -494,7 +494,7 @@ def initialize_from_warmup(state: AdaptationState, source: LabeledBatch,
     protos = {}
     for domain, feats in (("source", source.features), ("target", target_features)):
         emb, probs = forward(state.student, np.asarray(feats, dtype=np.float64))
-        batch = ScoredFeatureBatch(emb, probs.argmax(axis=1), probs.max(axis=1))
+        batch = LabeledBatch(emb, probs.argmax(axis=1), probs.max(axis=1))
         protos[domain] = initialize_prototypes(batch, config.init_threshold, domain,
                                                class_count)
     return AdaptationState(student=state.student, teacher=state.student.copy(),
@@ -558,19 +558,7 @@ def state_from_checkpoint(doc: dict, path: str = "checkpoint"
     A missing key or a malformed entry raises :class:`ParseError` naming
     ``path`` and the key.
     """
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a checkpoint must be a JSON object")
-
-    def entry(key: str, parse, optional: bool = False):
-        if optional and not doc.get(key):
-            return None
-        if key not in doc:
-            raise ParseError(f"{path}: missing key {key!r}")
-        try:
-            return parse(doc[key])
-        except (AttributeError, KeyError, TypeError, ValueError, PacfError) as exc:
-            raise ParseError(f"{path}: malformed {key!r}: {type(exc).__name__}: {exc}") from exc
-
+    entry = entry_reader(doc, path)
     config = entry("trainer_config", TrainerConfig.from_json_dict)
     state = AdaptationState(
         student=entry("student", ModelParams.from_json_dict),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -26,11 +27,21 @@ from .errors import ConfigError, IoError, MissingArtifact, PacfError, ParseError
 from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
-from .synthbench import DomainShiftSpec, LabeledBatch, generate, load_dump, save_dump
+from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
+                         read_csv, save_dump, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
 HIDDEN_FILE = "target_hidden.csv"
+_SCATTER_HEADER = ["linear_score", "prototype_cosine"]
+_PROJECTION_HEADER = ["x", "y", "label"]
+# summary_comparison.csv rows: metric name -> MetricsReport attribute
+_SUMMARY_METRICS = {
+    "proxy_a_distance": "proxy_a_distance", "spearman_rho": "spearman",
+    "kendall_tau": "kendall", "source_variance_avg": "source_variance_avg",
+    "target_variance_avg": "target_variance_avg", "mean_shift_avg": "mean_shift_avg",
+    "tp_ratio_avg": "tp_ratio_avg", "pseudo_count": "pseudo_count",
+}
 
 _ABLATION_KEYS = {"enable_pce", "regularizer", "enable_adversarial"}
 _BENCH_KEYS = {f.name for f in fields(DomainShiftSpec)}
@@ -39,16 +50,18 @@ _TRAINER_KEYS = ({f.name for f in fields(adapt.TrainerConfig)} - {"weights"} - _
 _TOP_KEYS = {"benchmark", "trainer", "ablation", "out_dir"}
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_config(path: str) -> dict:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, path)
@@ -107,31 +120,8 @@ def _require_out_dir(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_json(path: str, doc) -> None:
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
-
-
-def _fmt(x: float) -> str:
-    x = float(x)
-    return repr(x) if np.isfinite(x) else ""
+    write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_manifest(out: str, command: str, cfg_hash: str, files: list[str]) -> None:
@@ -171,42 +161,28 @@ def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray 
     return source, target.features, hidden
 
 
+def _class_columns(tables: list[dict[int, float]]) -> list[list]:
+    """A class column ending in ``avg.``, then each table's values and class average."""
+    classes = sorted(set().union(*tables))
+    return [[*classes, "avg."]] + [[table.get(k, math.nan) for k in classes]
+                                   + [metrics.class_average(table)] for table in tables]
+
+
 def _write_eval_artifacts(out: str, evaluation: EvalResult, cfg_hash: str) -> list[str]:
     report = evaluation.report
     doc = report.to_json_dict()
     doc["config_hash"] = cfg_hash
     _write_json(os.path.join(out, "metrics.json"), doc)
-
-    def table_csv(name: str, values: dict[int, float]) -> str:
-        lines = ["class," + name]
-        for k in sorted(values):
-            lines.append(f"{k},{_fmt(values[k])}")
-        lines.append(f"avg.,{_fmt(metrics.class_average(values))}")
-        return "\n".join(lines) + "\n"
-
-    variance_lines = ["class,source,target"]
-    for k in sorted(set(report.source_variance) | set(report.target_variance)):
-        variance_lines.append(
-            f"{k},{_fmt(report.source_variance.get(k, float('nan')))},"
-            f"{_fmt(report.target_variance.get(k, float('nan')))}")
-    variance_lines.append(
-        f"avg.,{_fmt(report.source_variance_avg)},{_fmt(report.target_variance_avg)}")
-    _write_text(os.path.join(out, "metrics_variance.csv"),
-                "\n".join(variance_lines) + "\n")
-    _write_text(os.path.join(out, "metrics_mean_shift.csv"),
-                table_csv("mean_shift", report.mean_shift))
-    _write_text(os.path.join(out, "metrics_tp_ratio.csv"),
-                table_csv("tp_ratio", report.tp_ratio))
-
-    scatter_lines = ["linear_score,prototype_cosine"]
-    for a, b in zip(evaluation.linear_scores, evaluation.prototype_cosines):
-        scatter_lines.append(f"{_fmt(a)},{_fmt(b)}")
-    _write_text(os.path.join(out, "rank_scatter.csv"), "\n".join(scatter_lines) + "\n")
-
-    proj_lines = ["x,y,label"]
-    for (x, y), label in zip(evaluation.projection, evaluation.projection_labels):
-        proj_lines.append(f"{_fmt(x)},{_fmt(y)},{int(label)}")
-    _write_text(os.path.join(out, "projection.csv"), "\n".join(proj_lines) + "\n")
+    write_csv(os.path.join(out, "metrics_variance.csv"), ["class", "source", "target"],
+              _class_columns([report.source_variance, report.target_variance]))
+    write_csv(os.path.join(out, "metrics_mean_shift.csv"), ["class", "mean_shift"],
+              _class_columns([report.mean_shift]))
+    write_csv(os.path.join(out, "metrics_tp_ratio.csv"), ["class", "tp_ratio"],
+              _class_columns([report.tp_ratio]))
+    write_csv(os.path.join(out, "rank_scatter.csv"), _SCATTER_HEADER,
+              [evaluation.linear_scores, evaluation.prototype_cosines])
+    write_csv(os.path.join(out, "projection.csv"), _PROJECTION_HEADER,
+              [*evaluation.projection.T, evaluation.projection_labels])
     return ["metrics.json", "metrics_variance.csv", "metrics_mean_shift.csv",
             "metrics_tp_ratio.csv", "rank_scatter.csv", "projection.csv"]
 
@@ -226,12 +202,10 @@ def cmd_train(args) -> int:
 
     _write_json(os.path.join(out, "checkpoint.json"),
                 adapt.checkpoint_to_json_dict(result.state, config, cfg_hash))
-    columns = [f.name for f in fields(adapt.StepRecord)]
-    loss_lines = [",".join(columns)]
-    for record in result.warmup_records + result.records:
-        values = (getattr(record, name) for name in columns)
-        loss_lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
-    _write_text(os.path.join(out, "losses.csv"), "\n".join(loss_lines) + "\n")
+    records = result.warmup_records + result.records
+    names = [f.name for f in fields(adapt.StepRecord)]
+    write_csv(os.path.join(out, "losses.csv"), names,
+              [[getattr(record, name) for record in records] for name in names])
     _write_json(os.path.join(out, "config.json"), effective)
     files = _write_eval_artifacts(out, evaluation, cfg_hash)
     _write_manifest(out, "train", cfg_hash,
@@ -257,50 +231,22 @@ def _require_artifact(run_dir: str, name: str) -> str:
     return path
 
 
-def _read_scatter(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines[1:]:
-        if not line:
-            continue
-        a, b = line.split(",")
-        if a == "" or b == "":
-            continue
-        rows.append((float(a), float(b)))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+def _read_scatter_row(cells: list[str]) -> list[float]:
+    # an empty cell is a non-finite score; its row is not plotted
+    return [float(cell) if cell else math.nan for cell in cells]
 
 
-def _read_projection(path: str) -> tuple[np.ndarray, np.ndarray]:
-    pts, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines[1:]:
-        if not line:
-            continue
-        x, y, label = line.split(",")
-        pts.append((float(x), float(y)))
-        labels.append(int(label))
-    return (np.asarray(pts, dtype=np.float64).reshape(-1, 2),
-            np.asarray(labels, dtype=np.int64))
+def _read_projection_row(cells: list[str]) -> tuple[tuple[float, float], int]:
+    return (float(cells[0]), float(cells[1])), int(cells[2])
 
 
-def _comparison_csv(names: list[str], tables: list[dict[int, float]],
-                    value_name: str) -> str:
-    classes = sorted(set().union(*[set(t) for t in tables])) if tables else []
-    header = ["class"] + [f"{value_name}_{n}" for n in names]
-    header += [f"delta_{n}" for n in names[1:]]
-    lines = [",".join(header)]
-    for k in classes + ["avg."]:
-        row = [str(k)]
-        values = []
-        for table in tables:
-            v = metrics.class_average(table) if k == "avg." else table.get(k, float("nan"))
-            values.append(v)
-            row.append(_fmt(v))
-        row.extend(_fmt(v - values[0]) for v in values[1:])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _write_comparison(path: str, names: list[str], tables: list[dict[int, float]],
+                      value_name: str) -> None:
+    columns = _class_columns(tables)
+    values = np.array(columns[1:], dtype=np.float64)
+    write_csv(path, ["class", *(f"{value_name}_{n}" for n in names),
+                     *(f"delta_{n}" for n in names[1:])],
+              [*columns, *(values[1:] - values[0])])
 
 
 def cmd_report(args) -> int:
@@ -315,50 +261,43 @@ def cmd_report(args) -> int:
         else:
             seen[name] = 0
         names.append(name)
-        reports.append(metrics.MetricsReport.from_json_dict(
-            _read_json(_require_artifact(run_dir, "metrics.json"))))
-        scatters.append(_read_scatter(_require_artifact(run_dir, "rank_scatter.csv")))
-        projections.append(_read_projection(_require_artifact(run_dir, "projection.csv")))
+        path = _require_artifact(run_dir, "metrics.json")
+        reports.append(metrics.MetricsReport.from_json_dict(_read_json(path), path))
+        _, rows = read_csv(_require_artifact(run_dir, "rank_scatter.csv"),
+                           lambda header: header == _SCATTER_HEADER, _read_scatter_row)
+        scatter = np.array(rows)
+        scatters.append(scatter[np.isfinite(scatter).all(axis=1)])
+        _, rows = read_csv(_require_artifact(run_dir, "projection.csv"),
+                           lambda header: header == _PROJECTION_HEADER, _read_projection_row)
+        points, labels = zip(*rows)
+        projections.append((np.array(points), np.array(labels, dtype=np.int64)))
 
-    _write_text(os.path.join(out, "variance_source_comparison.csv"),
-                _comparison_csv(names, [r.source_variance for r in reports], "variance"))
-    _write_text(os.path.join(out, "variance_target_comparison.csv"),
-                _comparison_csv(names, [r.target_variance for r in reports], "variance"))
-    _write_text(os.path.join(out, "mean_shift_comparison.csv"),
-                _comparison_csv(names, [r.mean_shift for r in reports], "shift"))
-    _write_text(os.path.join(out, "tp_ratio_comparison.csv"),
-                _comparison_csv(names, [r.tp_ratio for r in reports], "tp"))
+    _write_comparison(os.path.join(out, "variance_source_comparison.csv"), names,
+                      [r.source_variance for r in reports], "variance")
+    _write_comparison(os.path.join(out, "variance_target_comparison.csv"), names,
+                      [r.target_variance for r in reports], "variance")
+    _write_comparison(os.path.join(out, "mean_shift_comparison.csv"), names,
+                      [r.mean_shift for r in reports], "shift")
+    _write_comparison(os.path.join(out, "tp_ratio_comparison.csv"), names,
+                      [r.tp_ratio for r in reports], "tp")
+    write_csv(os.path.join(out, "summary_comparison.csv"), ["metric", *names],
+              [list(_SUMMARY_METRICS)] + [[float(getattr(r, attr)) for attr in
+                                          _SUMMARY_METRICS.values()] for r in reports])
 
-    summary = ["metric," + ",".join(names)]
-    rows = [
-        ("proxy_a_distance", [r.proxy_a_distance for r in reports]),
-        ("spearman_rho", [r.spearman for r in reports]),
-        ("kendall_tau", [r.kendall for r in reports]),
-        ("source_variance_avg", [r.source_variance_avg for r in reports]),
-        ("target_variance_avg", [r.target_variance_avg for r in reports]),
-        ("mean_shift_avg", [r.mean_shift_avg for r in reports]),
-        ("tp_ratio_avg", [r.tp_ratio_avg for r in reports]),
-        ("pseudo_count", [float(r.pseudo_count) for r in reports]),
-    ]
-    for metric_name, values in rows:
-        summary.append(metric_name + "," + ",".join(_fmt(v) for v in values))
-    _write_text(os.path.join(out, "summary_comparison.csv"), "\n".join(summary) + "\n")
-
-    rank_panels = [
-        Panel(title=name, points=scatter,
-              annotations=(f"rho={_fmt(report.spearman)}",
-                           f"tau={_fmt(report.kendall)}"),
-              x_label="linear score", y_label="prototype cosine")
-        for name, scatter, report in zip(names, scatters, reports)
-    ]
-    _write_text(os.path.join(out, "rank_correlation.svg"), scatter_svg(rank_panels))
+    rank_panels = []
+    for name, scatter, report in zip(names, scatters, reports):
+        rho, tau = format_column([report.spearman, report.kendall])
+        rank_panels.append(Panel(title=name, points=scatter,
+                                 annotations=(f"rho={rho}", f"tau={tau}"),
+                                 x_label="linear score", y_label="prototype cosine"))
+    write_text(os.path.join(out, "rank_correlation.svg"), scatter_svg(rank_panels))
 
     proj_panels = [
         Panel(title=name, points=pts, classes=labels,
               x_label="pc1", y_label="pc2")
         for name, (pts, labels) in zip(names, projections)
     ]
-    _write_text(os.path.join(out, "projection.svg"), scatter_svg(proj_panels))
+    write_text(os.path.join(out, "projection.svg"), scatter_svg(proj_panels))
     _write_manifest(out, "report", "",
                     ["variance_source_comparison.csv", "variance_target_comparison.csv",
                      "mean_shift_comparison.csv", "tp_ratio_comparison.csv",

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mapping of a malformed
+JSON document onto :class:`ParseError`."""
 
 
 class PacfError(Exception):
@@ -51,3 +52,28 @@ class ConfigError(PacfError):
 
 class Diverged(PacfError):
     """Training produced a non-finite loss or parameter; the message names the step."""
+
+
+def entry_reader(doc, path: str):
+    """``entry(key, parse, optional=False)``, which returns ``parse(doc[key])``.
+
+    ``doc`` is a JSON document read from ``path``. A ``doc`` that is not a
+    JSON object, a missing key, or an entry ``parse`` rejects with a
+    ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
+    :class:`PacfError` raises :class:`ParseError` naming ``path`` (and the
+    key). An ``optional`` entry that is absent or empty gives None.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+
+    def entry(key: str, parse, optional: bool = False):
+        if optional and not doc.get(key):
+            return None
+        if key not in doc:
+            raise ParseError(f"{path}: missing key {key!r}")
+        try:
+            return parse(doc[key])
+        except (AttributeError, KeyError, TypeError, ValueError, PacfError) as exc:
+            raise ParseError(f"{path}: malformed {key!r}: {type(exc).__name__}: {exc}") from exc
+
+    return entry

@@ -193,8 +193,9 @@ def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
         diff = a - b
         return (diff * diff).sum(axis=-1), 2.0 * diff, -2.0 * diff
     if kind == "kl":
+        # the value is flat in b where clamped_log floors it, so d/db is 0 there
         return (mathcore.kl_rows(a, b), clamped_log(a) - clamped_log(b) + 1.0,
-                -a / np.maximum(b, CLAMP_EPS))
+                np.where(b > CLAMP_EPS, -a / np.maximum(b, CLAMP_EPS), 0.0))
     if kind == "jsd":
         m = 0.5 * (a + b)
         return (mathcore.js_rows(a, b), 0.5 * (clamped_log(a) - clamped_log(m)),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples, entry_reader
 from .mathcore import sigmoid
 
 
@@ -244,7 +244,10 @@ class MetricsReport:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "MetricsReport":
+    def from_json_dict(cls, doc: dict, path: str = "metrics") -> "MetricsReport":
+        """Inverse of :meth:`to_json_dict`; a malformed ``doc`` raises ParseError naming ``path``."""
+        entry = entry_reader(doc, path)
+
         def untable(values: dict) -> dict[int, float]:
             return {int(k): float(v) for k, v in values.items()
                     if k != "avg" and v is not None}
@@ -253,14 +256,14 @@ class MetricsReport:
             return float("nan") if v is None else float(v)
 
         return cls(
-            source_variance=untable(doc["source_variance"]),
-            target_variance=untable(doc["target_variance"]),
-            mean_shift=untable(doc["mean_shift"]),
-            proxy_a_distance=scalar(doc["proxy_a_distance"]),
-            spearman=scalar(doc["spearman_rho"]),
-            kendall=scalar(doc["kendall_tau"]),
-            tp_ratio=untable(doc["tp_ratio"]),
-            pseudo_count=int(doc.get("pseudo_count", 0)),
+            source_variance=entry("source_variance", untable),
+            target_variance=entry("target_variance", untable),
+            mean_shift=entry("mean_shift", untable),
+            proxy_a_distance=entry("proxy_a_distance", scalar),
+            spearman=entry("spearman_rho", scalar),
+            kendall=entry("kendall_tau", scalar),
+            tp_ratio=entry("tp_ratio", untable),
+            pseudo_count=entry("pseudo_count", int, optional=True) or 0,
         )
 
 

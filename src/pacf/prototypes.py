@@ -21,51 +21,15 @@ built on its first read, so a set that is only written never builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
 # cosine_similarity and l2_normalize are re-exported: callers import them from here
 from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
+from .synthbench import LabeledBatch
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScoredFeatureBatch:
-    """Features with class labels and confidence scores in [0, 1]."""
-
-    features: np.ndarray  # (n, dim)
-    labels: np.ndarray    # (n,) non-negative ints
-    scores: np.ndarray    # (n,) floats in [0, 1]
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if features.ndim != 2:
-            raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
-        if labels.ndim != 1 or scores.ndim != 1:
-            raise DimensionMismatch("labels and scores must be 1-D")
-        if not (len(features) == len(labels) == len(scores)):
-            raise DimensionMismatch(
-                f"length mismatch: {len(features)} features, {len(labels)} labels, "
-                f"{len(scores)} scores"
-            )
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite entries")
-        if len(scores) and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
-        if len(labels) and labels.min() < 0:
-            raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return len(self.features)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -190,6 +154,9 @@ def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
     if labels.ndim != 1 or len(labels) != len(features):
         raise DimensionMismatch("labels must be 1-D and match the feature count")
+    # checked before the class sums, which would warn on a non-finite entry
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
     return features, labels
 
 
@@ -261,13 +228,13 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
     return pset._with_rows(present, rows)
 
 
-def initialize_prototypes(batch: ScoredFeatureBatch, threshold: float, domain: str,
+def initialize_prototypes(batch: LabeledBatch, threshold: float, domain: str,
                           class_count: int) -> PrototypeSet:
     """Prototype per class = normalized mean of its features scoring >= threshold.
 
     Labels at or above ``class_count`` (the "no class" outcome of a
-    single-class model) never qualify. Classes with no qualifying feature are
-    left uninitialized.
+    single-class model) never qualify; a qualifying negative label raises
+    ValueError. Classes with no qualifying feature are left uninitialized.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")

@@ -1,4 +1,5 @@
-"""Synthetic domain-shift benchmark and feature-dump file I/O.
+"""Synthetic domain-shift benchmark, feature dumps, and the CSV codec
+(:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through.
 
 The generator models the two failure modes a detector meets after a domain
 change: every class-conditional distribution on the target is mean-shifted
@@ -165,27 +166,42 @@ def generate(spec: DomainShiftSpec) -> DatasetPair:
     return DatasetPair(source, tgt_feats, tgt_labels)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def format_column(column) -> list[str]:
+    """The cells of one CSV column: ``repr`` for a float, an empty cell for a
+    non-finite float, ``str`` for anything else."""
+    values = np.asarray(column)
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
-def save_dump(batch: LabeledBatch, path) -> None:
-    """Write a batch as CSV: header ``label,score,f0,...``; floats keep full precision."""
-    header = ",".join(DUMP_HEADER_PREFIX + tuple(f"f{i}" for i in range(batch.dim)))
-    lines = [header]
-    for label, score, row in zip(batch.labels, batch.scores, batch.features):
-        cells = [str(int(label)), _format_float(score)]
-        cells.extend(_format_float(v) for v in row)
-        lines.append(",".join(cells))
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line ends; an OSError becomes :class:`IoError`."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def load_dump(path) -> LabeledBatch:
-    """Read a CSV feature dump; the exact inverse of :func:`save_dump`."""
+def write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header``, each formatted by :func:`format_column`."""
+    cells = [format_column(column) for column in columns]
+    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
+    """The line numbers and ``parse_row(cells)`` of every non-blank data line of a CSV.
+
+    The header must satisfy ``header_ok(cells)`` and every data line must
+    have as many cells as the header. A missing file raises
+    :class:`IoError`, a file without data lines :class:`EmptyBatch`, and a
+    bad header, a short or long line or a ``ValueError`` from ``parse_row``
+    a :class:`ParseError` naming the file and the line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -194,30 +210,45 @@ def load_dump(path) -> LabeledBatch:
     if not lines:
         raise EmptyBatch(f"{path} is empty")
     header = lines[0].split(",")
-    if header[:2] != list(DUMP_HEADER_PREFIX) or len(header) < 3:
+    if not header_ok(header):
         raise ParseError(f"{path} line 1: bad header {lines[0]!r}")
-    dim = len(header) - 2
-    expected = [f"f{i}" for i in range(dim)]
-    if header[2:] != expected:
-        raise ParseError(f"{path} line 1: feature columns must be f0..f{dim - 1}")
-    labels, scores, rows, linenos = [], [], [], []
+    linenos, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
         cells = line.split(",")
-        if len(cells) != dim + 2:
+        if len(cells) != len(header):
             raise ParseError(
-                f"{path} line {lineno}: expected {dim + 2} columns, got {len(cells)}")
+                f"{path} line {lineno}: expected {len(header)} columns, got {len(cells)}")
         try:
-            labels.append(int(cells[0]))
-            scores.append(float(cells[1]))
-            rows.append([float(v) for v in cells[2:]])
+            rows.append(parse_row(cells))
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: {exc}") from exc
         linenos.append(lineno)
     if not rows:
         raise EmptyBatch(f"{path} has no data rows")
-    features = np.asarray(rows)
+    return linenos, rows
+
+
+def save_dump(batch: LabeledBatch, path) -> None:
+    """Write a batch as CSV: header ``label,score,f0,...``; floats keep full precision."""
+    write_csv(path, _dump_header(batch.dim), [batch.labels, batch.scores, *batch.features.T])
+
+
+def _dump_header(dim: int) -> list[str]:
+    return [*DUMP_HEADER_PREFIX, *(f"f{i}" for i in range(dim))]
+
+
+def _parse_dump_row(cells: list[str]) -> tuple[int, float, list[float]]:
+    return int(cells[0]), float(cells[1]), [float(v) for v in cells[2:]]
+
+
+def load_dump(path) -> LabeledBatch:
+    """Read a CSV feature dump; the exact inverse of :func:`save_dump`."""
+    linenos, rows = read_csv(path, lambda h: len(h) > 2 and h == _dump_header(len(h) - 2),
+                             _parse_dump_row)
+    labels, scores, features = zip(*rows)
+    features = np.asarray(features)
     scores = np.asarray(scores)
     finite = np.isfinite(features).all(axis=1) & np.isfinite(scores)
     if not finite.all():

@@ -488,6 +488,63 @@ class TestComponentGradientsAgainstFiniteDifferences:
             assert np.linalg.norm(np.ravel(analytic) - numeric) / scale < 1e-6, key
 
 
+class TestTrainStepGradientAgainstFiniteDifferences:
+    """The update ``train_step`` applies is the gradient of its composed objective.
+
+    With ``learning_rate=1`` the applied gradient is ``student - new_student``.
+    The extractor receives the reversed adversarial gradient, so its
+    objective is ``total - 2 * lambda_dis * loss_dis``; every other tensor's
+    is ``total``. Every evaluation replays the same random draws.
+    """
+
+    @pytest.mark.parametrize("class_count", [1, 2, 5])
+    @pytest.mark.parametrize("enable_adversarial", [False, True])
+    @pytest.mark.parametrize("regularizer", ["none", "l2", "kl", "jsd"])
+    @pytest.mark.parametrize("enable_pce", [False, True])
+    def test_every_student_tensor(self, enable_pce, regularizer, enable_adversarial,
+                                  class_count):
+        config = tiny_config(enable_pce=enable_pce, regularizer=regularizer,
+                             enable_adversarial=enable_adversarial, pseudo_threshold=1e-9,
+                             learning_rate=1.0)
+        source, target = tiny_data(seed=class_count, classes=class_count)
+        d_in, d_feat = source.dim, config.feature_dim
+        student = make_params(d_in=d_in, d_feat=d_feat, classes=class_count, seed=7)
+        teacher = make_params(d_in=d_in, d_feat=d_feat, classes=class_count, seed=8)
+        rng = np.random.default_rng(9)
+        src, tgt = (PrototypeSet(domain, class_count, d_feat,
+                                 {k: mathcore.l2_normalize(rng.normal(size=d_feat))
+                                  for k in range(class_count)})
+                    for domain in ("source", "target"))
+        draws = np.random.Generator(np.random.PCG64(10)).bit_generator.state
+        lambda_dis = config.effective_weights().lambda_dis
+
+        def step(params):
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = draws
+            state = adapt.AdaptationState(student=params, teacher=teacher, src_protos=src,
+                                          tgt_protos=tgt, step=0, rng=replay)
+            return train_step(state, source, target, config)
+
+        updated, record = step(student)
+        assert record.pseudo_count > 0
+        for key in adapt.PARAM_KEYS:
+            shape = np.shape(getattr(student, key))
+            analytic = getattr(student, key) - getattr(updated.student, key)
+
+            def objective(flat, key=key, shape=shape):
+                trial = student.copy()
+                setattr(trial, key, flat.reshape(shape))
+                _, rec = step(trial)
+                if key.startswith("extractor"):
+                    return rec.total - 2.0 * lambda_dis * rec.loss_dis
+                return rec.total
+
+            numeric = mathcore.finite_difference_gradient(
+                objective, np.ravel(getattr(student, key)), 1e-6)
+            scale = max(np.linalg.norm(numeric), 1e-8)
+            assert np.linalg.norm(np.ravel(analytic) - numeric) / scale < 1e-4, key
+
+
 class TestCheckpointRoundTrip:
     def test_round_trip(self):
         import json

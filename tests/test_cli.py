@@ -100,6 +100,12 @@ class TestGen:
         assert "ParseError" in capsys.readouterr().err
 
 
+def with_line(text, index, line):
+    lines = text.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture()
 def trained_run(tmp_path, config_path):
     data = tmp_path / "data"
@@ -351,6 +357,28 @@ class TestReport:
         assert run(["report", str(run_dir), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "MissingArtifact" in err and "rank_scatter.csv" in err
+
+    @pytest.mark.parametrize("name, corrupt, where", [
+        ("rank_scatter.csv", lambda text: with_line(text, 1, "abc,0.5"), "line 2"),
+        ("projection.csv", lambda text: with_line(text, 1, "0.5,0.5"), "line 2"),
+        ("projection.csv", lambda text: with_line(text, 1, "0.5,0.5,1.5"), "line 2"),
+        ("metrics.json",
+         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "target_variance"}), "'target_variance'"),
+        ("metrics.json", lambda text: json.dumps([json.loads(text)]), "JSON object"),
+    ])
+    def test_malformed_artifact_fails_with_one_line(self, trained_run, tmp_path, capsys,
+                                                    name, corrupt, where):
+        _, run_dir = trained_run
+        path = run_dir / name
+        path.write_text(corrupt(path.read_text()))
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert str(path) in err and where in err
 
     def test_report_byte_identical(self, trained_run, tmp_path):
         _, run_dir = trained_run

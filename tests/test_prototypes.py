@@ -3,9 +3,9 @@ import pytest
 
 from pacf import mathcore
 from pacf.errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
-from pacf.prototypes import (PrototypeSet, ScoredFeatureBatch, blend_weight,
-                             initialize_prototypes, minibatch_prototypes,
-                             update_all, update_prototype)
+from pacf.prototypes import (PrototypeSet, blend_weight, initialize_prototypes,
+                             minibatch_prototypes, update_all, update_prototype)
+from pacf.synthbench import LabeledBatch
 
 
 def oracle_update_prototype(prev, mean):
@@ -25,8 +25,8 @@ def oracle_update_all(protos, features, labels):
 
 
 def make_batch(features, labels, scores):
-    return ScoredFeatureBatch(np.asarray(features, dtype=float),
-                              np.asarray(labels), np.asarray(scores, dtype=float))
+    return LabeledBatch(np.asarray(features, dtype=float),
+                        np.asarray(labels), np.asarray(scores, dtype=float))
 
 
 class TestInitializePrototypes:
@@ -234,7 +234,6 @@ class TestBatchedUpdateAgainstPerClassOracle:
         with pytest.raises(ZeroVector):
             update_all(self.make_set(), [[1.0, 2.0], [-1.0, -2.0]], [label, label])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf in the class sums
     @pytest.mark.parametrize("label", [0, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features(self, label, bad):
