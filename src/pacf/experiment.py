@@ -41,20 +41,20 @@ class EvalResult:
     projection_labels: np.ndarray  # hidden labels aligned with the projection (-1 unknown)
 
 
-def rank_consistency_scores(state: AdaptationState, target_features
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def rank_consistency_scores(state: AdaptationState, embeddings: np.ndarray,
+                            probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-instance (max linear probability, max prototype cosine) pairs.
 
-    Cosines use the target-domain prototypes over their initialized classes;
-    both axes are confidence-style scores on the clean target features.
+    ``embeddings`` and ``probabilities`` are the student's forward pass over
+    the clean target features. Cosines use the target-domain prototypes over
+    their initialized classes; both axes are confidence-style scores.
     """
-    emb, probs = adapt.forward(state.student, np.asarray(target_features, dtype=np.float64))
-    linear_scores = probs.max(axis=1)
+    linear_scores = probabilities.max(axis=1)
     protos = state.tgt_protos
     if protos is None or not protos.initialized_classes():
-        return linear_scores, np.full(len(emb), np.nan)
+        return linear_scores, np.full(len(embeddings), np.nan)
     matrix = np.stack([protos.get(k) for k in protos.initialized_classes()])
-    _, cosines = losses.prototype_geometry(emb, matrix)
+    _, cosines = losses.prototype_geometry(embeddings, matrix)
     return linear_scores, cosines.max(axis=1)
 
 
@@ -74,11 +74,11 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     """
     target_features = np.asarray(target_features, dtype=np.float64)
     src_emb, _ = adapt.forward(state.student, source.features)
-    tgt_emb, _ = adapt.forward(state.student, target_features)
+    tgt_emb, tgt_probs = adapt.forward(state.student, target_features)
     src_unit = _unit_rows(src_emb)
     tgt_unit = _unit_rows(tgt_emb)
 
-    linear_scores, proto_cos = rank_consistency_scores(state, target_features)
+    linear_scores, proto_cos = rank_consistency_scores(state, tgt_emb, tgt_probs)
     spearman = kendall = float("nan")
     if np.all(np.isfinite(proto_cos)):
         spearman = metrics.spearman_rho(linear_scores, proto_cos)

@@ -96,3 +96,22 @@ class TestEvaluateState:
         rho = metrics.spearman_rho(evaluation.linear_scores,
                                    evaluation.prototype_cosines)
         assert evaluation.report.spearman == rho
+
+    def test_student_forwarded_once_per_domain(self, small_setup, monkeypatch):
+        dataset, config = small_setup
+        source, target = dataset.training_view()
+        result = adapt.run_experiment(source, target, config)
+        calls = []
+        original = adapt.forward
+
+        def counting_forward(params, features):
+            calls.append((params is result.state.student, len(features)))
+            return original(params, features)
+
+        monkeypatch.setattr(adapt, "forward", counting_forward)
+        evaluation = experiment.evaluate_state(result.state, config, source, target,
+                                               dataset.target_hidden_labels)
+        student_calls = sorted(rows for is_student, rows in calls if is_student)
+        assert student_calls == sorted([len(source.features), len(target)])
+        _, probs = original(result.state.student, target)
+        assert np.array_equal(evaluation.linear_scores, probs.max(axis=1))

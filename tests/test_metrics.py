@@ -1,8 +1,43 @@
+import struct
+import time
+
 import numpy as np
 import pytest
 
 from pacf import metrics
 from pacf.errors import DimensionMismatch, InsufficientSamples
+
+
+def oracle_kendall_tau(xs, ys) -> float:
+    """The n x n sign-matrix Kendall tau-b that ``metrics.kendall_tau`` replaced.
+
+    ``inf - inf`` is nan, so an infinity warns on the diagonal and a repeated
+    infinity makes its pairs nan: call it under ``np.errstate(invalid="ignore")``
+    with each infinity at most once per argument.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = len(xs)
+    d = np.subtract.outer(xs, xs)
+    np.sign(d, out=d)
+    e = np.subtract.outer(ys, ys)
+    d *= np.sign(e, out=e)
+    np.fill_diagonal(d, 0.0)
+    s = float(d.sum()) / 2.0  # the matrix is symmetric: each pair counted twice
+    n0 = n * (n - 1) / 2.0
+
+    def tie_term(v):
+        _, counts = np.unique(v, return_counts=True)
+        return float(np.sum(counts * (counts - 1) / 2.0))
+
+    denom = np.sqrt((n0 - tie_term(xs)) * (n0 - tie_term(ys)))
+    if denom == 0.0:
+        return float("nan")
+    return float(s / denom)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestIntraClassVariance:
@@ -226,6 +261,78 @@ class TestRankCoefficients:
             metrics.spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
             metrics.kendall_tau([1.0], [2.0])
+
+
+class TestKendallAgainstOracle:
+    @staticmethod
+    def tied_case(rng, n):
+        xs = rng.integers(0, int(rng.integers(1, 8)), size=n) * 0.5 - 1.0
+        ys = rng.integers(0, int(rng.integers(1, 8)), size=n) * 0.25 - 0.5
+        if rng.random() < 0.3:
+            xs = xs + rng.normal(size=n)  # x mostly untied
+        for v in (xs, ys):
+            if rng.random() < 0.3:
+                v[v == 0.0] = -0.0
+            if rng.random() < 0.3:
+                v[rng.choice(n, size=2, replace=False)] = [np.inf, -np.inf]
+        return xs, ys
+
+    def test_bitwise_equal_on_random_tied_cases(self):
+        rng = np.random.default_rng(63)
+        compared = 0
+        for _ in range(400):
+            xs, ys = self.tied_case(rng, int(rng.integers(2, 61)))
+            with np.errstate(invalid="ignore"):
+                expected = oracle_kendall_tau(xs, ys)
+            assert bits(metrics.kendall_tau(xs, ys)) == bits(expected), (xs, ys)
+            compared += not np.isnan(expected)
+        assert compared > 300  # most cases have a defined tau
+
+    def test_bitwise_equal_at_evaluation_size(self):
+        n = 1600  # the adapt workloads' target rows; the oracle holds two n x n arrays
+        rng = np.random.default_rng(n)
+        xs = np.round(rng.normal(size=n), 1)
+        ys = xs + rng.normal(size=n)
+        assert bits(metrics.kendall_tau(xs, ys)) == bits(oracle_kendall_tau(xs, ys))
+
+    def test_infinities_in_both_arguments_do_not_warn(self):
+        # RuntimeWarnings are errors in this suite, so a warning fails here
+        xs = np.array([np.inf, 0.5, -np.inf, 2.0, 0.5, -0.0, 1.0])
+        ys = np.array([1.0, -np.inf, 0.0, np.inf, 3.0, 0.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            expected = oracle_kendall_tau(xs, ys)
+        assert bits(metrics.kendall_tau(xs, ys)) == bits(expected)
+        assert bits(metrics.kendall_tau(ys, xs)) == bits(expected)
+
+    def test_repeated_infinity_is_a_tie(self):
+        ys = np.array([1.0, 2.0, 3.0, 4.0, 0.0])
+        tau = metrics.kendall_tau([np.inf, np.inf, 1.0, 2.0, -np.inf], ys)
+        assert tau == metrics.kendall_tau([9.0, 9.0, 1.0, 2.0, -9.0], ys)
+        assert np.isfinite(tau)
+
+    def test_fifty_thousand_rows_against_contingency_table(self):
+        rng = np.random.default_rng(64)
+        n = 50_000
+        x = rng.integers(0, 10, size=n)
+        y = np.clip(x * 7 // 10 + rng.integers(-2, 3, size=n), 0, 6)
+        table = np.zeros((10, 7), dtype=np.int64)
+        np.add.at(table, (x, y), 1)
+        concordant = discordant = 0
+        for a in range(10):
+            for b in range(7):
+                concordant += int(table[a, b]) * int(table[a + 1:, b + 1:].sum())
+                discordant += int(table[a, b]) * int(table[a + 1:, :b].sum())
+
+        def tied(counts):
+            return int(np.sum(counts * (counts - 1) // 2))
+
+        n0 = n * (n - 1) / 2.0
+        expected = (concordant - discordant) / np.sqrt(
+            (n0 - tied(table.sum(axis=1))) * (n0 - tied(table.sum(axis=0))))
+        start = time.perf_counter()
+        tau = metrics.kendall_tau(x.astype(float), y.astype(float))
+        assert time.perf_counter() - start < 1.0
+        assert tau == float(expected)
 
 
 class TestTpRatio:
