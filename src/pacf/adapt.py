@@ -14,8 +14,11 @@ A run has three phases:
    domains and averaging confident embeddings per predicted class (the
    teacher is re-seeded as a copy of the student here),
 3. the adaptation loop proper, where each step draws batches, generates
-   pseudo labels, descends the composed objective, refreshes prototypes
-   from the step's embeddings, and EMA-updates the teacher.
+   pseudo labels, forwards the student once over the stacked source and
+   target rows (warm-up: the source rows only), descends the composed
+   objective, refreshes prototypes from the step's embeddings, and
+   EMA-updates the teacher. The terms' summed gradients w.r.t. the stacked
+   logits and embeddings are chained once through each layer.
 
 Every random draw comes from one seeded PCG64 generator in a documented
 order (source indices, target indices, source noise, target noise per
@@ -309,65 +312,58 @@ def ema_update(teacher: ModelParams, student: ModelParams, rate: float) -> Model
     return ModelParams(**new)
 
 
-def _chain_to_extractor(grad_emb: np.ndarray, inputs: np.ndarray,
-                        grads: dict[str, np.ndarray]) -> None:
-    """Accumulate extractor gradients from per-instance embedding gradients."""
-    gw = inputs.T @ grad_emb
-    gb = grad_emb.sum(axis=0)
-    grads["extractor_w"] = grads.get("extractor_w", 0.0) + gw
-    grads["extractor_b"] = grads.get("extractor_b", 0.0) + gb
+def _rows_of(rows, grad: np.ndarray, n: int) -> np.ndarray:
+    """An (n, width) gradient holding ``grad`` in ``rows`` and zero elsewhere."""
+    full = np.zeros((n, grad.shape[1]))
+    full[rows] = grad
+    return full
 
 
-def _chain_to_classifier(grad_logits: np.ndarray, emb: np.ndarray) -> dict[str, np.ndarray]:
-    """Classifier gradients from per-instance logit gradients."""
-    return {"classifier_w": emb.T @ grad_logits, "classifier_b": grad_logits.sum(axis=0)}
+def _backward(params: ModelParams, x: np.ndarray, emb: np.ndarray,
+              grad_inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Parameter gradients from the gradients w.r.t. the logits and ``emb``, the embedding
+    of ``x``: the classifier and the extractor are each chained once."""
+    grads, grad_emb = {}, grad_inputs.get("embeddings")
+    if "logits" in grad_inputs:
+        grad_logits = grad_inputs["logits"]
+        grads = {"classifier_w": emb.T @ grad_logits, "classifier_b": grad_logits.sum(axis=0)}
+        through = grad_logits @ params.classifier_w.T
+        grad_emb = through if grad_emb is None else through + grad_emb
+    return {**grads, "extractor_w": x.T @ grad_emb, "extractor_b": grad_emb.sum(axis=0)}
 
 
-def _cross_entropy_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
-                             probs: np.ndarray, labels: np.ndarray) -> LossValue:
-    """Mean CE over a batch with gradients for classifier and extractor."""
+def _cross_entropy_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray,
+                             rows, labels: np.ndarray) -> LossValue:
+    """Mean CE of the linear classifier over ``rows``; the gradient is w.r.t. the logits."""
     value, grad_logits = losses.cross_entropy_batch(
-        emb @ params.classifier_w + params.classifier_b, probs, labels)
-    grads = _chain_to_classifier(grad_logits, emb)
-    _chain_to_extractor(grad_logits @ params.classifier_w.T, inputs, grads)
-    return LossValue(value=value, grad_params=grads)
+        emb[rows] @ params.classifier_w + params.classifier_b, probs[rows], labels)
+    return LossValue(value, grad_inputs={"logits": _rows_of(rows, grad_logits, len(emb))})
 
 
-def _adversarial_component(params: ModelParams, src_inputs, src_emb,
-                           tgt_inputs, tgt_emb) -> LossValue:
-    """Mean discriminator BCE over both domains; feature gradient is reversed."""
-    domain = np.concatenate([np.zeros(len(src_emb)), np.ones(len(tgt_emb))])
+def _adversarial_component(params: ModelParams, emb: np.ndarray, domain: np.ndarray) -> LossValue:
+    """Mean discriminator BCE; the embedding gradient is reversed, the discriminator's not."""
     value, grad_w, grad_b, grad_emb = losses.discriminator_bce_batch(
-        np.vstack([src_emb, tgt_emb]), domain, params.discriminator_w, params.discriminator_b)
-    grads = {"discriminator_w": grad_w, "discriminator_b": grad_b}
-    _chain_to_extractor(grad_emb, np.vstack([src_inputs, tgt_inputs]), grads)
-    return LossValue(value=value, grad_params=grads)
+        emb, domain, params.discriminator_w, params.discriminator_b)
+    return LossValue(value, grad_params={"discriminator_w": grad_w, "discriminator_b": grad_b},
+                     grad_inputs={"embeddings": grad_emb})
 
 
-def _pce_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
-                   labels: np.ndarray, geometries: tuple[Geometry, Geometry],
-                   tau: float) -> LossValue:
-    """Mean prototype cross entropy over pseudo-labeled embeddings."""
-    value, grad_emb = losses.prototype_cross_entropy_batch(emb, labels, geometries, tau)
-    grads: dict[str, np.ndarray] = {}
-    _chain_to_extractor(grad_emb, inputs, grads)
-    return LossValue(value=value, grad_params=grads)
+def _pce_component(emb: np.ndarray, rows, labels: np.ndarray,
+                   geometries: tuple[Geometry, Geometry], tau: float) -> LossValue:
+    """Mean prototype cross entropy over ``rows``, whose geometries are ``geometries``."""
+    value, grad_emb = losses.prototype_cross_entropy_batch(emb[rows], labels, geometries, tau)
+    return LossValue(value, grad_inputs={"embeddings": _rows_of(rows, grad_emb, len(emb))})
 
 
-def _mut_component(params: ModelParams, inputs: np.ndarray, emb: np.ndarray,
-                   probs: np.ndarray, geometries: tuple[Geometry, Geometry],
-                   tau: float, kind: str) -> LossValue:
-    """Mean regularizer coupling the linear distribution to both posteriors.
-
-    Gradients flow into the linear branch (classifier + extractor) and into
-    the embedding through both prototype posteriors; prototypes get none.
-    """
+def _mut_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray, rows,
+                   geometries: tuple[Geometry, Geometry], tau: float, kind: str) -> LossValue:
+    """Mean regularizer coupling the linear distribution to both posteriors over ``rows``;
+    its gradient reaches the logits and, through both posteriors, the embeddings."""
     value, grad_logits, grad_emb_src, grad_emb_tgt = losses.mutual_regularization_batch(
-        emb, probs, geometries, tau, kind, params.class_count)
-    grads = _chain_to_classifier(grad_logits, emb)
-    grad_emb = grad_logits @ params.classifier_w.T + grad_emb_src + grad_emb_tgt
-    _chain_to_extractor(grad_emb, inputs, grads)
-    return LossValue(value=value, grad_params=grads)
+        emb[rows], probs[rows], geometries, tau, kind, params.class_count)
+    grad_emb = _rows_of(rows, grad_emb_src + grad_emb_tgt, len(emb))
+    return LossValue(value, grad_inputs={"logits": _rows_of(rows, grad_logits, len(emb)),
+                                         "embeddings": grad_emb})
 
 
 def _check_finite(student: ModelParams, components: dict[str, LossValue], step: int,
@@ -413,40 +409,42 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     if not warmup:
         pseudo = generate_pseudo_labels(state.teacher, xt, config.pseudo_threshold)
 
-    xs_aug = xs + config.augment_noise * src_noise
-    xt_aug = xt + config.augment_noise * tgt_noise
+    # one student forward: the source rows, then (after warm-up) the target rows
+    x = xs + config.augment_noise * src_noise
+    if not warmup:
+        x = np.vstack([x, xt + config.augment_noise * tgt_noise])
     student = state.student
-    emb_s, probs_s = forward(student, xs_aug)
-    emb_t, probs_t = forward(student, xt_aug)
+    emb, probs = forward(student, x)
+    n_src = config.batch_size
+    kept = n_src + pseudo.indices
+    emb_kept = emb[kept]
 
     weights = config.effective_weights()
-    components = {"sup": _cross_entropy_component(student, xs_aug, emb_s, probs_s, ys)}
-    kept = pseudo.indices
-    xt_kept, emb_kept, probs_kept = xt_aug[kept], emb_t[kept], probs_t[kept]
+    components = {"sup": _cross_entropy_component(student, emb, probs, slice(0, n_src), ys)}
     if len(pseudo) and weights.lambda_unsup > 0.0:
-        components["unsup"] = _cross_entropy_component(
-            student, xt_kept, emb_kept, probs_kept, pseudo.labels)
+        components["unsup"] = _cross_entropy_component(student, emb, probs, kept,
+                                                       pseudo.labels)
     if not warmup and weights.lambda_dis > 0.0:
-        components["dis"] = _adversarial_component(student, xs_aug, emb_s, xt_aug, emb_t)
+        domain = np.repeat([0.0, 1.0], n_src)
+        components["dis"] = _adversarial_component(student, emb, domain)
     if (len(pseudo) and _prototypes_ready(state)
             and (weights.lambda_pce > 0.0 or weights.lambda_mut > 0.0)):
         geometries = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos)
         if weights.lambda_pce > 0.0:
-            components["pce"] = _pce_component(
-                student, xt_kept, emb_kept, pseudo.labels, geometries, config.tau)
+            components["pce"] = _pce_component(emb, kept, pseudo.labels, geometries, config.tau)
         if weights.lambda_mut > 0.0:
-            components["mut"] = _mut_component(
-                student, xt_kept, emb_kept, probs_kept, geometries, config.tau,
-                config.regularizer)
+            components["mut"] = _mut_component(student, emb, probs, kept, geometries,
+                                               config.tau, config.regularizer)
 
     combined = total_loss(components, weights)
-    new_student = student.apply_gradients(combined.grad_params, config.learning_rate)
+    grads = {**combined.grad_params, **_backward(student, x, emb, combined.grad_inputs)}
+    new_student = student.apply_gradients(grads, config.learning_rate)
     _check_finite(new_student, components, state.step + 1, warmup)
 
     src_protos = state.src_protos
     tgt_protos = state.tgt_protos
     if not warmup and src_protos is not None:
-        src_protos = update_all(src_protos, emb_s, ys)
+        src_protos = update_all(src_protos, emb[:n_src], ys)
         if len(pseudo) and tgt_protos is not None:
             tgt_protos = update_all(tgt_protos, emb_kept, pseudo.labels)
 
@@ -524,6 +522,10 @@ def run_experiment(source: LabeledBatch, target_features, config: TrainerConfig,
                    class_count: int | None = None) -> RunResult:
     """Warm-up, prototype initialization, then the adaptation loop."""
     target_features = np.asarray(target_features, dtype=np.float64)
+    # warm-up never forwards the target rows, so check their width before it
+    if target_features.ndim != 2 or target_features.shape[1] != source.dim:
+        raise DimensionMismatch(f"target features of shape {target_features.shape} do not "
+                                f"match the source dim {source.dim}")
     if class_count is None:
         if len(source.labels) == 0 or source.labels.max() < 0:
             raise ValueError("cannot infer class count from an unlabeled source batch")

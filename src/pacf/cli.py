@@ -152,7 +152,12 @@ def cmd_gen(args) -> int:
 
 
 def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray | None]:
-    source = load_dump(os.path.join(data_dir, SOURCE_FILE))
+    source_path = os.path.join(data_dir, SOURCE_FILE)
+    source = load_dump(source_path)
+    unknown = np.flatnonzero(source.labels < 0)
+    if len(unknown):
+        raise ParseError(f"{source_path}: data row {unknown[0] + 1} has label "
+                         f"{source.labels[unknown[0]]}; every source row needs a known class")
     target = load_dump(os.path.join(data_dir, TARGET_FILE))
     hidden_path = os.path.join(data_dir, HIDDEN_FILE)
     hidden = None

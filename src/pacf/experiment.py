@@ -69,8 +69,9 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
 
     Distribution diagnostics run on unit-normalized embeddings (see the
     module docstring); mean shift uses normalized class means. Hidden target
-    labels unlock the per-class target tables and the TP ratio; without them
-    the report carries the label-free diagnostics only.
+    labels unlock the per-class target tables and the TP ratio, built from
+    the rows whose hidden label is known (not -1); without them the report
+    carries the label-free diagnostics only.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
     src_emb, _ = adapt.forward(state.student, source.features)
@@ -94,11 +95,13 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     shift: dict[int, float] = {}
     ratios: dict[int, float] = {}
     if hidden is not None:
-        target_variance = metrics.intra_class_variance(tgt_unit, hidden)
-        shift = metrics.mean_shift(src_unit, source.labels, tgt_unit, hidden,
+        known = hidden >= 0
+        target_variance = metrics.intra_class_variance(tgt_unit[known], hidden[known])
+        shift = metrics.mean_shift(src_unit, source.labels, tgt_unit[known], hidden[known],
                                    normalize_means=True)
-        if len(pseudo):
-            ratios = metrics.tp_ratio(pseudo.labels, pseudo.indices, hidden)
+        checked = known[pseudo.indices]
+        if checked.any():
+            ratios = metrics.tp_ratio(pseudo.labels[checked], pseudo.indices[checked], hidden)
 
     # the A-distance probes the embeddings the discriminator actually sees
     report = metrics.MetricsReport(

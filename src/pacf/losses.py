@@ -4,10 +4,11 @@ Each term is a ``*_batch`` kernel over n rows (embeddings, or the linear
 classifier's distributions over them). It returns the batch-mean value in
 nats and the gradient of that mean with respect to its inputs: logits,
 features, or the discriminator's own parameters. The trainer in
-:mod:`pacf.adapt` chains those gradients to its parameters. The ``*_rows``
-kernels they build on return per-row values and per-row gradients. The two
-prototype terms read the features' :class:`Geometry` against each prototype
-set from :func:`prototype_geometries`, which a step computes once for both.
+:mod:`pacf.adapt` sums them over one stacked batch (:func:`total_loss`) and
+chains the sum to its parameters once. The ``*_rows`` kernels they build on
+return per-row values and per-row gradients. The two prototype terms read
+the features' :class:`Geometry` against each prototype set from
+:func:`prototype_geometries`, which a step computes once for both.
 
 The public per-instance operations (:func:`prototype_posterior`,
 :func:`prototype_cross_entropy`, :func:`regularizer_variant`,
@@ -19,8 +20,8 @@ scalar value plus
 
 * ``grad_features``   gradient w.r.t. the instance feature vector,
 * ``grad_params``     named gradients for trainable parameters,
-* ``grad_inputs``     named gradients w.r.t. distribution-level inputs
-                      (chained through softmax by the caller).
+* ``grad_inputs``     named gradients w.r.t. inputs: distributions or logits
+                      here, the stacked logits and embeddings in the trainer.
 
 Prototypes are constant buffers everywhere: no loss exposes a gradient path
 into a prototype entry. The domain-adversarial term bakes gradient reversal
@@ -356,22 +357,23 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> Los
     value = sup + lambda_unsup * unsup + lambda_dis * dis
               + lambda_pce * pce + lambda_mut * mut
 
-    Gradients combine linearly with the same weights; missing components
-    contribute nothing.
+    Every gradient field combines linearly with the same weights, key by key;
+    missing components contribute nothing.
     """
     unknown = set(components) - set(_COMPONENT_WEIGHTS)
     if unknown:
         raise ValueError(f"unknown loss components: {sorted(unknown)}")
     value = 0.0
     grad_features: np.ndarray | None = None
-    grad_params: dict[str, np.ndarray] = {}
+    grad_params, grad_inputs = {}, {}
     for name, loss in components.items():
         weight = float(_COMPONENT_WEIGHTS[name](weights))
         value += weight * loss.value
         if loss.grad_features is not None:
             contrib = weight * loss.grad_features
             grad_features = contrib if grad_features is None else grad_features + contrib
-        for key, grad in loss.grad_params.items():
-            contrib = weight * grad
-            grad_params[key] = contrib if key not in grad_params else grad_params[key] + contrib
-    return LossValue(value=value, grad_features=grad_features, grad_params=grad_params)
+        for sums, grads in ((grad_params, loss.grad_params), (grad_inputs, loss.grad_inputs)):
+            for key, grad in grads.items():
+                contrib = weight * grad
+                sums[key] = contrib if key not in sums else sums[key] + contrib
+    return LossValue(value, grad_features, grad_params, grad_inputs)

@@ -28,6 +28,16 @@ def tiny_data(seed=0, n=40, d=6, classes=3):
     return source, target
 
 
+ALL = slice(None)
+
+
+def chained(params, inputs, emb, loss):
+    """``loss`` from a per-term function with its logit and embedding gradients
+    chained to the parameters by the trainer's own chain."""
+    grads = {**loss.grad_params, **adapt._backward(params, inputs, emb, loss.grad_inputs)}
+    return losses.LossValue(value=loss.value, grad_params=grads)
+
+
 def make_params(d_in=3, d_feat=3, classes=2, seed=99):
     rng = np.random.default_rng(seed)
     return ModelParams(
@@ -256,6 +266,26 @@ class TestTrainStep:
                          "loss_mut", "total"):
                 assert np.isfinite(getattr(record, name)), (record.step, name)
 
+    def test_one_student_forward_per_step(self, monkeypatch):
+        source, target = tiny_data()
+        config = tiny_config()
+        state = adapt.initialize_from_warmup(init_state(config, source.dim, 3), source,
+                                             target, config)
+        rows = []
+        original = adapt.forward
+
+        def counting_forward(params, x):
+            rows.append(len(x))
+            return original(params, x)
+
+        monkeypatch.setattr(adapt, "forward", counting_forward)
+        train_step(state, source, target, config, warmup=True)
+        assert rows == [config.batch_size]  # the source rows only
+        rows.clear()
+        train_step(state, source, target, config)
+        # the teacher over the target rows, then the student over source and target rows
+        assert rows == [config.batch_size, 2 * config.batch_size]
+
     def test_train_run_single_step_equals_train_step(self):
         source, target = tiny_data()
         config = tiny_config(steps=1)
@@ -350,7 +380,8 @@ class TestBatchComponentsMatchPerInstanceOps:
     def test_cross_entropy_component(self):
         params, _, _, inputs, labels = self.setup_state()
         emb, probs = forward(params, inputs)
-        component = adapt._cross_entropy_component(params, inputs, emb, probs, labels)
+        component = chained(params, inputs, emb,
+                            adapt._cross_entropy_component(params, emb, probs, ALL, labels))
         values = [losses.classification_loss(probs[i], int(labels[i])).value
                   for i in range(len(labels))]
         assert component.value == pytest.approx(np.mean(values), rel=1e-12)
@@ -364,8 +395,8 @@ class TestBatchComponentsMatchPerInstanceOps:
         params, src, tgt, inputs, labels = self.setup_state()
         emb, _ = forward(params, inputs)
         tau = 0.2
-        component = adapt._pce_component(params, inputs, emb, labels,
-                                         losses.prototype_geometries(emb, src, tgt), tau)
+        component = chained(params, inputs, emb, adapt._pce_component(
+            emb, ALL, labels, losses.prototype_geometries(emb, src, tgt), tau))
         per_instance = [losses.prototype_cross_entropy(emb[i], int(labels[i]), src, tgt, tau)
                         for i in range(len(labels))]
         assert component.value == pytest.approx(
@@ -380,8 +411,8 @@ class TestBatchComponentsMatchPerInstanceOps:
         params, src, tgt, inputs, labels = self.setup_state()
         emb, probs = forward(params, inputs)
         tau = 0.3
-        component = adapt._mut_component(params, inputs, emb, probs,
-                                         losses.prototype_geometries(emb, src, tgt), tau, kind)
+        component = chained(params, inputs, emb, adapt._mut_component(
+            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt), tau, kind))
         values = []
         for i in range(len(inputs)):
             p_src = losses.prototype_posterior(emb[i], src, tau)
@@ -398,13 +429,13 @@ class TestBatchComponentsMatchPerInstanceOps:
             trial = params.copy()
             trial.extractor_w = flat_we.reshape(params.extractor_w.shape)
             emb, probs = forward(trial, inputs)
-            return adapt._mut_component(trial, inputs, emb, probs,
+            return adapt._mut_component(trial, emb, probs, ALL,
                                         losses.prototype_geometries(emb, src, tgt),
                                         tau, kind).value
 
         emb, probs = forward(params, inputs)
-        component = adapt._mut_component(params, inputs, emb, probs,
-                                         losses.prototype_geometries(emb, src, tgt), tau, kind)
+        component = chained(params, inputs, emb, adapt._mut_component(
+            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt), tau, kind))
         numeric = mathcore.finite_difference_gradient(
             objective, params.extractor_w.ravel(), 1e-6)
         analytic = component.grad_params["extractor_w"].ravel()
@@ -416,7 +447,9 @@ class TestBatchComponentsMatchPerInstanceOps:
         emb, _ = forward(params, inputs)
         src_emb, tgt_emb = emb[:4], emb[4:]
         src_in, tgt_in = inputs[:4], inputs[4:]
-        component = adapt._adversarial_component(params, src_in, src_emb, tgt_in, tgt_emb)
+        component = chained(params, np.vstack([src_in, tgt_in]), np.vstack([src_emb, tgt_emb]),
+                            adapt._adversarial_component(params, np.vstack([src_emb, tgt_emb]),
+                                                         np.repeat([0.0, 1.0], [4, 3])))
         values, disc_grads = [], []
         for i, e in enumerate(np.vstack([src_emb, tgt_emb])):
             label = 0 if i < 4 else 1
@@ -453,16 +486,18 @@ class TestComponentGradientsAgainstFiniteDifferences:
         def loss_of(params):
             emb, probs = forward(params, inputs)
             if name == "ce":
-                return adapt._cross_entropy_component(params, inputs, emb, probs, labels)
-            if name == "adversarial":
-                return adapt._adversarial_component(params, inputs[:4], emb[:4],
-                                                    inputs[4:], emb[4:])
-            if name == "pce":
-                return adapt._pce_component(params, inputs, emb, labels,
+                loss = adapt._cross_entropy_component(params, emb, probs, ALL, labels)
+            elif name == "adversarial":
+                loss = adapt._adversarial_component(
+                    params, emb, np.repeat([0.0, 1.0], [4, len(emb) - 4]))
+            elif name == "pce":
+                loss = adapt._pce_component(emb, ALL, labels,
                                             losses.prototype_geometries(emb, src, tgt), self.TAU)
-            return adapt._mut_component(params, inputs, emb, probs,
-                                        losses.prototype_geometries(emb, src, tgt), self.TAU,
-                                        name.split("-")[1])
+            else:
+                loss = adapt._mut_component(params, emb, probs, ALL,
+                                            losses.prototype_geometries(emb, src, tgt), self.TAU,
+                                            name.split("-")[1])
+            return chained(params, inputs, emb, loss)
         return loss_of
 
     @pytest.mark.parametrize("class_count", [1, 2, 5])

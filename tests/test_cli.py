@@ -100,6 +100,17 @@ class TestGen:
         assert "ParseError" in capsys.readouterr().err
 
 
+def unlabel_row_3(lines):
+    lines[3] = ",".join(["-1"] + lines[3].split(",")[1:])
+    return lines
+
+
+def assert_one_unknown_source_label_line(err):
+    assert err.count("\n") == 1
+    assert err.startswith("error: ParseError: ")
+    assert "source.csv" in err and "-1" in err
+
+
 def with_line(text, index, line):
     lines = text.splitlines()
     lines[index] = line
@@ -209,6 +220,32 @@ class TestTrain:
         assert err.startswith("error: ParseError: ")
         assert "target.csv line 6" in err
 
+    def train_on_edited_data(self, tmp_path, config_path, name, edit):
+        data = tmp_path / "data"
+        data.mkdir()
+        run(["gen", "--config", config_path, "--out", str(data)])
+        path = data / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        return run(["train", "--config", config_path, "--data", str(data), "--out", str(out)])
+
+    def test_unknown_source_label_fails_with_one_line(self, tmp_path, config_path, capsys):
+        code = self.train_on_edited_data(tmp_path, config_path, "source.csv", unlabel_row_3)
+        assert code == 1
+        assert_one_unknown_source_label_line(capsys.readouterr().err)
+
+    def test_narrower_target_fails_with_one_line(self, tmp_path, config_path, capsys):
+        def drop_last_column(lines):
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        code = self.train_on_edited_data(tmp_path, config_path, "target.csv", drop_last_column)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: DimensionMismatch: ")
+        assert "target" in err  # checked before warm-up, not by the first target forward
+
     @pytest.mark.filterwarnings("error")  # nothing but the one error line
     def test_diverging_run_fails_with_step(self, tmp_path, config_path, capsys):
         doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -266,6 +303,16 @@ class TestEval:
         assert forward["mean_shift"] == backward["mean_shift"]
         assert forward["source_variance"] == backward["target_variance"]
         assert forward["target_variance"] == backward["source_variance"]
+
+    def test_unknown_source_label_fails_with_one_line(self, trained_run, tmp_path, capsys):
+        data, run_dir = trained_run
+        source = data / "source.csv"
+        source.write_text("\n".join(unlabel_row_3(source.read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        assert_one_unknown_source_label_line(capsys.readouterr().err)
 
     def test_missing_checkpoint(self, trained_run, tmp_path, capsys):
         data, _ = trained_run

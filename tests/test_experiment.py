@@ -115,3 +115,25 @@ class TestEvaluateState:
         assert student_calls == sorted([len(source.features), len(target)])
         _, probs = original(result.state.student, target)
         assert np.array_equal(evaluation.linear_scores, probs.max(axis=1))
+
+    def test_unknown_hidden_label_enters_no_target_table(self, small_setup):
+        dataset, config = small_setup
+        source, target = dataset.training_view()
+        result = adapt.run_experiment(source, target, config)
+        hidden = dataset.target_hidden_labels.copy()
+        pseudo = adapt.generate_pseudo_labels(result.state.teacher, target,
+                                              config.pseudo_threshold)
+        unknown = pseudo.indices[:3]
+        assert len(unknown) == 3
+        hidden[unknown] = -1
+        known = hidden >= 0
+        report = experiment.evaluate_state(result.state, config, source, target, hidden).report
+        # the same tables as an evaluation that never saw the unknown rows
+        expected = experiment.evaluate_state(result.state, config, source, target[known],
+                                             hidden[known]).report
+        assert -1 not in report.target_variance and -1 not in report.tp_ratio
+        assert report.target_variance == expected.target_variance
+        assert report.mean_shift == expected.mean_shift
+        kept = known[pseudo.indices]
+        assert report.tp_ratio == metrics.tp_ratio(pseudo.labels[kept], pseudo.indices[kept],
+                                                   hidden)
