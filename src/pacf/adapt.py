@@ -348,22 +348,20 @@ def _adversarial_component(params: ModelParams, emb: np.ndarray, domain: np.ndar
                      grad_inputs={"embeddings": grad_emb})
 
 
-def _pce_component(emb: np.ndarray, rows, labels: np.ndarray,
-                   geometries: tuple[Geometry, Geometry], tau: float) -> LossValue:
-    """Mean prototype cross entropy over ``rows``, whose geometries are ``geometries``."""
-    value, grad_emb = losses.prototype_cross_entropy_batch(emb[rows], labels, geometries, tau)
+def _pce_component(emb: np.ndarray, rows, labels: np.ndarray, geometry: Geometry) -> LossValue:
+    """Mean prototype cross entropy over ``rows``, whose prototype geometry is ``geometry``."""
+    value, grad_emb = losses.prototype_cross_entropy_batch(emb[rows], labels, geometry)
     return LossValue(value, grad_inputs={"embeddings": _rows_of(rows, grad_emb, len(emb))})
 
 
 def _mut_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray, rows,
-                   geometries: tuple[Geometry, Geometry], tau: float, kind: str) -> LossValue:
+                   geometry: Geometry, kind: str) -> LossValue:
     """Mean regularizer coupling the linear distribution to both posteriors over ``rows``;
     its gradient reaches the logits and, through both posteriors, the embeddings."""
-    value, grad_logits, grad_emb_src, grad_emb_tgt = losses.mutual_regularization_batch(
-        emb[rows], probs[rows], geometries, tau, kind, params.class_count)
-    grad_emb = _rows_of(rows, grad_emb_src + grad_emb_tgt, len(emb))
+    value, grad_logits, grad_emb = losses.mutual_regularization_batch(
+        emb[rows], probs[rows], geometry, kind, params.class_count)
     return LossValue(value, grad_inputs={"logits": _rows_of(rows, grad_logits, len(emb)),
-                                         "embeddings": grad_emb})
+                                         "embeddings": _rows_of(rows, grad_emb, len(emb))})
 
 
 def _check_finite(student: ModelParams, components: dict[str, LossValue], step: int,
@@ -429,12 +427,13 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
         components["dis"] = _adversarial_component(student, emb, domain)
     if (len(pseudo) and _prototypes_ready(state)
             and (weights.lambda_pce > 0.0 or weights.lambda_mut > 0.0)):
-        geometries = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos)
+        geometry = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos,
+                                               config.tau)
         if weights.lambda_pce > 0.0:
-            components["pce"] = _pce_component(emb, kept, pseudo.labels, geometries, config.tau)
+            components["pce"] = _pce_component(emb, kept, pseudo.labels, geometry)
         if weights.lambda_mut > 0.0:
-            components["mut"] = _mut_component(student, emb, probs, kept, geometries,
-                                               config.tau, config.regularizer)
+            components["mut"] = _mut_component(student, emb, probs, kept, geometry,
+                                               config.regularizer)
 
     combined = total_loss(components, weights)
     grads = {**combined.grad_params, **_backward(student, x, emb, combined.grad_inputs)}
@@ -454,19 +453,9 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
                                  src_protos=src_protos, tgt_protos=tgt_protos,
                                  step=state.step + 1, rng=rng)
 
-    def component_value(name: str) -> float:
-        return components[name].value if name in components else 0.0
-
-    record = StepRecord(
-        step=next_state.step,
-        loss_sup=component_value("sup"),
-        loss_unsup=component_value("unsup"),
-        loss_dis=component_value("dis"),
-        loss_pce=component_value("pce"),
-        loss_mut=component_value("mut"),
-        total=combined.value,
-        pseudo_count=len(pseudo),
-    )
+    record = StepRecord(step=next_state.step, total=combined.value, pseudo_count=len(pseudo),
+                        **{f"loss_{name}": components[name].value if name in components else 0.0
+                           for name in ("sup", "unsup", "dis", "pce", "mut")})
     return next_state, record
 
 

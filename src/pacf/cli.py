@@ -158,11 +158,15 @@ def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray 
     if len(unknown):
         raise ParseError(f"{source_path}: data row {unknown[0] + 1} has label "
                          f"{source.labels[unknown[0]]}; every source row needs a known class")
-    target = load_dump(os.path.join(data_dir, TARGET_FILE))
+    target_path = os.path.join(data_dir, TARGET_FILE)
+    target = load_dump(target_path)
     hidden_path = os.path.join(data_dir, HIDDEN_FILE)
     hidden = None
     if os.path.exists(hidden_path):
         hidden = load_dump(hidden_path).labels
+        if len(hidden) != len(target.labels):
+            raise ParseError(f"{hidden_path} has {len(hidden)} data rows, but {target_path} "
+                             f"has {len(target.labels)}")
     return source, target.features, hidden
 
 
@@ -257,14 +261,13 @@ def _write_comparison(path: str, names: list[str], tables: list[dict[int, float]
 def cmd_report(args) -> int:
     out = _require_out_dir(args.out)
     names, reports, scatters, projections = [], [], [], []
-    seen: dict[str, int] = {}
     for run_dir in args.run_dirs:
-        name = os.path.basename(os.path.normpath(run_dir))
-        if name in seen:
-            seen[name] += 1
-            name = f"{name}_{seen[name]}"
-        else:
-            seen[name] = 0
+        # a repeated name takes the first free suffix, so no two columns share a name
+        base = name = os.path.basename(os.path.normpath(run_dir))
+        suffix = 0
+        while name in names:
+            suffix += 1
+            name = f"{base}_{suffix}"
         names.append(name)
         path = _require_artifact(run_dir, "metrics.json")
         reports.append(metrics.MetricsReport.from_json_dict(_read_json(path), path))

@@ -22,9 +22,6 @@ from . import adapt, losses, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
 from .synthbench import DatasetPair, LabeledBatch
 
-SPLIT_SEED = 0  # fixed seed for the proxy A-distance train/test split
-
-
 def baseline_config(config: TrainerConfig) -> TrainerConfig:
     """Self-training + adversarial only: prototype terms switched off."""
     return replace(config, enable_pce=False, regularizer="none")
@@ -63,8 +60,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def evaluate_state(state: AdaptationState, config: TrainerConfig, source: LabeledBatch,
-                   target_features, target_hidden_labels=None,
-                   split_seed: int = SPLIT_SEED) -> EvalResult:
+                   target_features, target_hidden_labels=None) -> EvalResult:
     """Full diagnostic pass over clean features with the current student/teacher.
 
     Distribution diagnostics run on unit-normalized embeddings (see the
@@ -108,7 +104,7 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
         source_variance=source_variance,
         target_variance=target_variance,
         mean_shift=shift,
-        proxy_a_distance=metrics.proxy_a_distance(src_emb, tgt_emb, split_seed),
+        proxy_a_distance=metrics.proxy_a_distance(src_emb, tgt_emb),
         spearman=spearman,
         kendall=kendall,
         tp_ratio=ratios,

@@ -7,8 +7,9 @@ features, or the discriminator's own parameters. The trainer in
 :mod:`pacf.adapt` sums them over one stacked batch (:func:`total_loss`) and
 chains the sum to its parameters once. The ``*_rows`` kernels they build on
 return per-row values and per-row gradients. The two prototype terms read
-the features' :class:`Geometry` against each prototype set from
-:func:`prototype_geometries`, which a step computes once for both.
+one stacked :class:`Geometry` of the features against both prototype sets,
+with each set's posterior, from :func:`prototype_geometries`; a step
+computes it once, and each term chains back through it once.
 
 The public per-instance operations (:func:`prototype_posterior`,
 :func:`prototype_cross_entropy`, :func:`regularizer_variant`,
@@ -148,43 +149,54 @@ def cosine_grad_to_features(grad_cos: np.ndarray, cos: np.ndarray, features: np.
 
 
 class Geometry(NamedTuple):
-    """A batch of features against one prototype set."""
+    """A batch of features against the source and the target prototypes, stacked source
+    first, with each set's posterior at ``tau`` (the sigmoid pair for a single class)."""
 
-    matrix: np.ndarray  # (classes, dim) unit prototype rows
-    norms: np.ndarray   # (n,) feature row norms
-    cos: np.ndarray     # (n, classes) cosine of each feature to each prototype
+    matrix: np.ndarray      # (2C, dim) unit prototype rows, source then target
+    norms: np.ndarray       # (n,) feature row norms
+    cos: np.ndarray         # (n, 2C) cosine of each feature to each prototype
+    tau: float              # the temperature of the posteriors
+    posteriors: np.ndarray  # (n, 2, K = max(C, 2)) p_src(y|x) and p_tgt(y|x)
+
+    def scores(self) -> np.ndarray:
+        """Cosines over temperature, one row per feature and set: (2n, C), source first."""
+        return (self.cos / self.tau).reshape(2 * len(self.cos), -1)
+
+    def chain(self, features: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
+        """The feature gradient of a batch mean from its gradient w.r.t. :meth:`scores`,
+        of which a sigmoid pair's second column is dropped (it has one score)."""
+        n = len(features)
+        grad_cos = grad_scores[:, :self.cos.shape[1] // 2].reshape(n, -1) / self.tau / n
+        return cosine_grad_to_features(grad_cos, self.cos, features, self.norms, self.matrix)
 
 
-def prototype_geometries(features: np.ndarray, src: PrototypeSet, tgt: PrototypeSet
-                         ) -> tuple[Geometry, Geometry]:
-    """The geometry of ``features`` against the source and the target set, in that order.
+def prototype_geometries(features: np.ndarray, src: PrototypeSet, tgt: PrototypeSet,
+                         tau: float) -> Geometry:
+    """The stacked geometry of ``features`` against the source and the target set.
 
-    The prototype terms of one step share it, so it is computed once per set.
+    The prototype terms of one step share it, so it is computed once.
     """
-    return tuple(Geometry(m, *prototype_geometry(features, m))
-                 for m in (src.matrix(), tgt.matrix()))
+    if (src.class_count, src.dim) != (tgt.class_count, tgt.dim):
+        raise DimensionMismatch(f"source/target prototype sets disagree on (classes, dim): "
+                                f"{(src.class_count, src.dim)} vs {(tgt.class_count, tgt.dim)}")
+    matrix = np.vstack([src.matrix(), tgt.matrix()])
+    geometry = Geometry(matrix, *prototype_geometry(features, matrix), tau, None)
+    posteriors = class_probabilities(geometry.scores()).reshape(len(features), 2, -1)
+    return geometry._replace(posteriors=posteriors)
 
 
 def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
-                                  geometries: tuple[Geometry, Geometry], tau: float
-                                  ) -> tuple[float, np.ndarray]:
+                                  geometry: Geometry) -> tuple[float, np.ndarray]:
     """Mean prototype cross entropy over both domains and its feature gradient.
 
     Per row: -log p_src(y|x) - log p_tgt(y|x), with p the cosine softmax at
     temperature tau (the sigmoid pair for a single class).
     """
     n = len(labels)
-    value = 0.0
-    grad = np.zeros_like(features)
-    for matrix, norms, cos in geometries:
-        scores = cos / tau
-        log_probs = log_probabilities(scores)
-        # softmax rows reuse exp(log p); a sigmoid pair keeps the linear head's sigmoid
-        probs = class_probabilities(scores) if cos.shape[1] == 1 else np.exp(log_probs)
-        nll, grad_scores = cross_entropy_rows(log_probs, probs, labels, cos.shape[1])
-        value += float(nll.mean())
-        grad += cosine_grad_to_features(grad_scores / tau / n, cos, features, norms, matrix)
-    return value, grad
+    nll, grad_scores = cross_entropy_rows(
+        log_probabilities(geometry.scores()), geometry.posteriors.reshape(2 * n, -1),
+        np.repeat(labels, 2), geometry.posteriors.shape[2])
+    return float(nll.reshape(n, 2).mean(axis=0).sum()), geometry.chain(features, grad_scores)
 
 
 def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
@@ -204,33 +216,27 @@ def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
 
-def regularizer_rows(kind: str, p_lin: np.ndarray, p_src: np.ndarray, p_tgt: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row D(p_lin, p_src) + D(p_lin, p_tgt) and its gradients w.r.t. each input."""
-    v1, g_lin1, g_src = pair_divergence(kind, p_lin, p_src)
-    v2, g_lin2, g_tgt = pair_divergence(kind, p_lin, p_tgt)
-    return v1 + v2, g_lin1 + g_lin2, g_src, g_tgt
+def regularizer_rows(kind: str, p_lin: np.ndarray, posteriors: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row D(p_lin, p_src) + D(p_lin, p_tgt) and its gradients w.r.t. p_lin and
+    ``posteriors``, which stacks p_src and p_tgt on axis 1 as (n, 2, K)."""
+    values, g_lin, g_post = pair_divergence(kind, p_lin[:, None], posteriors)
+    return values.sum(axis=1), g_lin.sum(axis=1), g_post
 
 
-def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray,
-                                geometries: tuple[Geometry, Geometry], tau: float,
+def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray, geometry: Geometry,
                                 kind: str, logit_width: int
-                                ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+                                ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean regularizer coupling the linear distribution to both prototype posteriors.
 
-    Returns the value, its gradient w.r.t. the linear logits, and its
-    gradient w.r.t. the features through the source and through the target
-    posterior (kept apart so the caller adds them in a fixed order).
+    Returns the value and its gradients w.r.t. the linear logits and w.r.t.
+    the features, through both posteriors.
     """
     n = len(features)
-    posteriors = [class_probabilities(g.cos / tau) for g in geometries]
-    values, g_lin, g_src, g_tgt = regularizer_rows(kind, probs, *posteriors)
+    values, g_lin, g_post = regularizer_rows(kind, probs, geometry.posteriors)
     grad_logits = mathcore.softmax_vjp_rows(probs, g_lin)[:, :logit_width] / n
-    grad_features = []
-    for (matrix, norms, cos), post, g_post in zip(geometries, posteriors, (g_src, g_tgt)):
-        grad_cos = mathcore.softmax_vjp_rows(post, g_post)[:, :cos.shape[1]] / tau / n
-        grad_features.append(cosine_grad_to_features(grad_cos, cos, features, norms, matrix))
-    return float(values.mean()), grad_logits, *grad_features
+    grad_scores = mathcore.softmax_vjp_rows(geometry.posteriors, g_post).reshape(2 * n, -1)
+    return float(values.mean()), grad_logits, geometry.chain(features, grad_scores)
 
 
 def discriminator_bce_batch(features: np.ndarray, domain: np.ndarray, weight: np.ndarray,
@@ -266,14 +272,11 @@ def prototype_cross_entropy(x, pseudo_label: int, src: PrototypeSet, tgt: Protot
     value = -log p_src(y~|x) - log p_tgt(y~|x). ``grad_features`` is the exact
     gradient through both cosine-softmax branches; prototypes receive none.
     """
-    if src.class_count != tgt.class_count:
-        raise DimensionMismatch("source/target prototype sets disagree on class count")
     if not (0 <= pseudo_label < max(src.class_count, 2)):
         raise ValueError(f"pseudo label {pseudo_label} out of range")
-    tau = mathcore._check_temperature(tau)
     x = mathcore.as_vector(x)[None]
-    value, grad = prototype_cross_entropy_batch(x, np.array([pseudo_label]),
-                                                prototype_geometries(x, src, tgt), tau)
+    geometry = prototype_geometries(x, src, tgt, mathcore._check_temperature(tau))
+    value, grad = prototype_cross_entropy_batch(x, np.array([pseudo_label]), geometry)
     return LossValue(value=value, grad_features=grad[0])
 
 
@@ -293,10 +296,10 @@ def regularizer_variant(p_lin, p_src, p_tgt, kind: str) -> LossValue:
     if not (p_lin.shape == p_src.shape == p_tgt.shape):
         raise DimensionMismatch(
             f"distribution length mismatch: {p_lin.shape}, {p_src.shape}, {p_tgt.shape}")
-    values, g_lin, g_src, g_tgt = regularizer_rows(kind, p_lin[None], p_src[None], p_tgt[None])
+    values, g_lin, g_post = regularizer_rows(kind, p_lin[None], np.stack([p_src, p_tgt])[None])
     return LossValue(
         value=float(values[0]),
-        grad_inputs={"p_lin": g_lin[0], "p_src": g_src[0], "p_tgt": g_tgt[0]},
+        grad_inputs={"p_lin": g_lin[0], "p_src": g_post[0, 0], "p_tgt": g_post[0, 1]},
     )
 
 

@@ -8,6 +8,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 
 import numpy as np
 
@@ -55,16 +56,16 @@ def _panel_svg(panel: Panel, x_offset: int) -> list[str]:
         'fill="none" stroke="#333333" stroke-width="1"/>')
     parts.append(
         f'<text x="{PANEL_W // 2}" y="{MARGIN - 18}" text-anchor="middle" '
-        f'font-size="12" font-family="monospace">{panel.title}</text>')
+        f'font-size="12" font-family="monospace">{escape(panel.title, quote=False)}</text>')
     if panel.x_label:
         parts.append(
             f'<text x="{PANEL_W // 2}" y="{PANEL_H - 8}" text-anchor="middle" '
-            f'font-size="10" font-family="monospace">{panel.x_label}</text>')
+            f'font-size="10" font-family="monospace">{escape(panel.x_label, quote=False)}</text>')
     if panel.y_label:
         parts.append(
             f'<text x="12" y="{PANEL_H // 2}" text-anchor="middle" font-size="10" '
             f'font-family="monospace" transform="rotate(-90 12 {PANEL_H // 2})">'
-            f'{panel.y_label}</text>')
+            f'{escape(panel.y_label, quote=False)}</text>')
     if len(pts):
         x_lo, x_hi = _scale(pts[:, 0])
         y_lo, y_hi = _scale(pts[:, 1])
@@ -80,7 +81,7 @@ def _panel_svg(panel: Panel, x_offset: int) -> list[str]:
     for j, line in enumerate(panel.annotations):
         parts.append(
             f'<text x="{MARGIN + 6}" y="{MARGIN + 14 + 13 * j}" font-size="10" '
-            f'font-family="monospace">{line}</text>')
+            f'font-family="monospace">{escape(line, quote=False)}</text>')
     parts.append("</g>")
     return parts
 

@@ -286,6 +286,30 @@ class TestTrainStep:
         # the teacher over the target rows, then the student over source and target rows
         assert rows == [config.batch_size, 2 * config.batch_size]
 
+    def test_one_prototype_geometry_per_step(self, monkeypatch):
+        """Both prototype terms read one stacked geometry, and each chains back once."""
+        source, target = tiny_data()
+        config = tiny_config(steps=20)
+        state, _ = adapt.warmup_run(init_state(config, source.dim, 3), source, target, config)
+        state = adapt.initialize_from_warmup(state, source, target, config)
+        calls = []
+        for name in ("prototype_geometry", "cosine_grad_to_features"):
+            def counting(*args, name=name, original=getattr(losses, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(losses, name, counting)
+        steps_with_terms = 0
+        for _ in range(config.steps):
+            ready = adapt._prototypes_ready(state)
+            calls.clear()
+            state, record = train_step(state, source, target, config)
+            if ready and record.pseudo_count:
+                steps_with_terms += 1
+                assert calls == ["prototype_geometry"] + 2 * ["cosine_grad_to_features"]
+            else:
+                assert calls == []
+        assert steps_with_terms > 0
+
     def test_train_run_single_step_equals_train_step(self):
         source, target = tiny_data()
         config = tiny_config(steps=1)
@@ -396,7 +420,7 @@ class TestBatchComponentsMatchPerInstanceOps:
         emb, _ = forward(params, inputs)
         tau = 0.2
         component = chained(params, inputs, emb, adapt._pce_component(
-            emb, ALL, labels, losses.prototype_geometries(emb, src, tgt), tau))
+            emb, ALL, labels, losses.prototype_geometries(emb, src, tgt, tau)))
         per_instance = [losses.prototype_cross_entropy(emb[i], int(labels[i]), src, tgt, tau)
                         for i in range(len(labels))]
         assert component.value == pytest.approx(
@@ -412,7 +436,7 @@ class TestBatchComponentsMatchPerInstanceOps:
         emb, probs = forward(params, inputs)
         tau = 0.3
         component = chained(params, inputs, emb, adapt._mut_component(
-            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt), tau, kind))
+            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt, tau), kind))
         values = []
         for i in range(len(inputs)):
             p_src = losses.prototype_posterior(emb[i], src, tau)
@@ -430,12 +454,12 @@ class TestBatchComponentsMatchPerInstanceOps:
             trial.extractor_w = flat_we.reshape(params.extractor_w.shape)
             emb, probs = forward(trial, inputs)
             return adapt._mut_component(trial, emb, probs, ALL,
-                                        losses.prototype_geometries(emb, src, tgt),
-                                        tau, kind).value
+                                        losses.prototype_geometries(emb, src, tgt, tau),
+                                        kind).value
 
         emb, probs = forward(params, inputs)
         component = chained(params, inputs, emb, adapt._mut_component(
-            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt), tau, kind))
+            params, emb, probs, ALL, losses.prototype_geometries(emb, src, tgt, tau), kind))
         numeric = mathcore.finite_difference_gradient(
             objective, params.extractor_w.ravel(), 1e-6)
         analytic = component.grad_params["extractor_w"].ravel()
@@ -492,10 +516,10 @@ class TestComponentGradientsAgainstFiniteDifferences:
                     params, emb, np.repeat([0.0, 1.0], [4, len(emb) - 4]))
             elif name == "pce":
                 loss = adapt._pce_component(emb, ALL, labels,
-                                            losses.prototype_geometries(emb, src, tgt), self.TAU)
+                                            losses.prototype_geometries(emb, src, tgt, self.TAU))
             else:
                 loss = adapt._mut_component(params, emb, probs, ALL,
-                                            losses.prototype_geometries(emb, src, tgt), self.TAU,
+                                            losses.prototype_geometries(emb, src, tgt, self.TAU),
                                             name.split("-")[1])
             return chained(params, inputs, emb, loss)
         return loss_of

@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import pytest
 
@@ -109,6 +111,17 @@ def assert_one_unknown_source_label_line(err):
     assert err.count("\n") == 1
     assert err.startswith("error: ParseError: ")
     assert "source.csv" in err and "-1" in err
+
+
+def drop_last_two_rows(lines):
+    return lines[:-2]
+
+
+def assert_one_hidden_row_count_line(err):
+    assert err.count("\n") == 1
+    assert err.startswith("error: ParseError: ")
+    # the generated target has 4 x 50 rows
+    assert "target_hidden.csv has 198 data rows" in err and "has 200" in err
 
 
 def with_line(text, index, line):
@@ -235,6 +248,12 @@ class TestTrain:
         assert code == 1
         assert_one_unknown_source_label_line(capsys.readouterr().err)
 
+    def test_short_hidden_labels_fail_with_one_line(self, tmp_path, config_path, capsys):
+        code = self.train_on_edited_data(tmp_path, config_path, "target_hidden.csv",
+                                         drop_last_two_rows)
+        assert code == 1
+        assert_one_hidden_row_count_line(capsys.readouterr().err)
+
     def test_narrower_target_fails_with_one_line(self, tmp_path, config_path, capsys):
         def drop_last_column(lines):
             return [line.rsplit(",", 1)[0] for line in lines]
@@ -314,6 +333,16 @@ class TestEval:
                     "--data", str(data), "--out", str(out)]) == 1
         assert_one_unknown_source_label_line(capsys.readouterr().err)
 
+    def test_short_hidden_labels_fail_with_one_line(self, trained_run, tmp_path, capsys):
+        data, run_dir = trained_run
+        hidden = data / "target_hidden.csv"
+        hidden.write_text("\n".join(drop_last_two_rows(hidden.read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        assert_one_hidden_row_count_line(capsys.readouterr().err)
+
     def test_missing_checkpoint(self, trained_run, tmp_path, capsys):
         data, _ = trained_run
         out = tmp_path / "out"
@@ -385,6 +414,34 @@ class TestReport:
             cells = line.split(",")
             # identical runs: delta must be exactly zero
             assert float(cells[-1]) == 0.0
+
+    def test_repeated_run_names_get_distinct_columns(self, trained_run, tmp_path):
+        _, run_dir = trained_run
+        same_name = tmp_path / "x" / run_dir.name
+        shutil.copytree(run_dir, same_name)
+        taken_suffix = tmp_path / f"{run_dir.name}_1"
+        shutil.copytree(run_dir, taken_suffix)
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), str(same_name), str(taken_suffix),
+                    "--out", str(out)]) == 0
+        summary = (out / "summary_comparison.csv").read_text().splitlines()[0].split(",")
+        assert summary == ["metric", "run", "run_1", "run_1_1"]
+        for name in ("variance_source_comparison.csv", "variance_target_comparison.csv",
+                     "mean_shift_comparison.csv", "tp_ratio_comparison.csv"):
+            header = (out / name).read_text().splitlines()[0].split(",")
+            assert len(set(header)) == len(header), (name, header)
+
+    def test_svg_text_is_escaped(self, trained_run, tmp_path):
+        _, run_dir = trained_run
+        odd = run_dir.rename(tmp_path / "a&b<c>")
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(odd), "--out", str(out)]) == 0
+        for name in ("rank_correlation.svg", "projection.svg"):
+            root = ElementTree.parse(out / name).getroot()
+            texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert "a&b<c>" in texts, name
 
     def test_svg_annotations_match_metrics(self, trained_run, tmp_path):
         _, run_dir = trained_run

@@ -117,6 +117,14 @@ class TestPrototypeCrossEntropy:
         assert loss.grad_params == {}
         assert loss.grad_inputs == {}
 
+    @pytest.mark.parametrize("class_count, dim", [(4, 5), (3, 6)])
+    def test_mismatched_sets_rejected(self, class_count, dim):
+        rng = np.random.default_rng(26)
+        src = random_prototypes("source", 3, 5, rng)
+        tgt = random_prototypes("target", class_count, dim, rng)
+        with pytest.raises(DimensionMismatch):
+            prototype_cross_entropy(rng.normal(size=5), 1, src, tgt, 0.1)
+
     def test_non_negative_over_random_configs(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
