@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, Diverged, entry_reader
+from .errors import DimensionMismatch, Diverged, check_switches, entry_reader
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
@@ -156,6 +156,7 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_switches(self)
         for name in ("warmup_steps", "steps", "batch_size", "feature_dim", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -177,6 +178,8 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.augment_noise) and self.augment_noise >= 0.0):
             raise ValueError(f"augment_noise must be >= 0, got {self.augment_noise!r}")
         if self.regularizer not in REGULARIZERS:
@@ -281,7 +284,7 @@ def predict(params: ModelParams, x):
 
 def generate_pseudo_labels(teacher: ModelParams, target_features,
                            threshold: float) -> PseudoLabels:
-    """Keep teacher predictions whose max probability reaches the threshold.
+    """Keep teacher predictions of a real class whose max probability reaches the threshold.
 
     Predictions come from the clean (un-noised) features. Ties break toward
     the lowest class index via argmax. May return an empty set.
@@ -291,10 +294,7 @@ def generate_pseudo_labels(teacher: ModelParams, target_features,
     _, probs = forward(teacher, np.atleast_2d(np.asarray(target_features, dtype=np.float64)))
     confidence = probs.max(axis=1)
     labels = probs.argmax(axis=1)
-    keep = confidence >= threshold
-    if teacher.class_count == 1:
-        keep &= labels == 0
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero((confidence >= threshold) & (labels < teacher.class_count))
     return PseudoLabels(indices=idx, labels=labels[idx], scores=confidence[idx])
 
 
@@ -504,27 +504,22 @@ class RunResult:
     state: AdaptationState
     warmup_records: list[StepRecord]
     records: list[StepRecord]
-    config: TrainerConfig
 
 
-def run_experiment(source: LabeledBatch, target_features, config: TrainerConfig,
-                   class_count: int | None = None) -> RunResult:
+def run_experiment(source: LabeledBatch, target_features, config: TrainerConfig) -> RunResult:
     """Warm-up, prototype initialization, then the adaptation loop."""
     target_features = np.asarray(target_features, dtype=np.float64)
     # warm-up never forwards the target rows, so check their width before it
     if target_features.ndim != 2 or target_features.shape[1] != source.dim:
         raise DimensionMismatch(f"target features of shape {target_features.shape} do not "
                                 f"match the source dim {source.dim}")
-    if class_count is None:
-        if len(source.labels) == 0 or source.labels.max() < 0:
-            raise ValueError("cannot infer class count from an unlabeled source batch")
-        class_count = int(source.labels.max()) + 1
-    state = init_state(config, source.dim, class_count)
+    if len(source.labels) == 0 or source.labels.max() < 0:
+        raise ValueError("cannot infer class count from an unlabeled source batch")
+    state = init_state(config, source.dim, int(source.labels.max()) + 1)
     state, warmup_records = warmup_run(state, source, target_features, config)
     state = initialize_from_warmup(state, source, target_features, config)
     state, records = train_run(state, source, target_features, config)
-    return RunResult(state=state, warmup_records=warmup_records, records=records,
-                     config=config)
+    return RunResult(state=state, warmup_records=warmup_records, records=records)
 
 
 def checkpoint_to_json_dict(state: AdaptationState, config: TrainerConfig,

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -262,8 +263,8 @@ def cmd_report(args) -> int:
     out = _require_out_dir(args.out)
     names, reports, scatters, projections = [], [], [], []
     for run_dir in args.run_dirs:
-        # a repeated name takes the first free suffix, so no two columns share a name
-        base = name = os.path.basename(os.path.normpath(run_dir))
+        # no comma or line break in a CSV cell; a repeated name takes the first free suffix
+        base = name = re.sub(r"[,\n\r]", "_", os.path.basename(os.path.normpath(run_dir)))
         suffix = 0
         while name in names:
             suffix += 1

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the mapping of a malformed
-JSON document onto :class:`ParseError`."""
+"""Exception types shared across the package, the mapping of a malformed JSON
+document onto :class:`ParseError`, and the switch typing rule of config values."""
+
+from dataclasses import fields
 
 
 class PacfError(Exception):
@@ -77,3 +79,13 @@ def entry_reader(doc, path: str):
             raise ParseError(f"{path}: malformed {key!r}: {type(exc).__name__}: {exc}") from exc
 
     return entry
+
+
+def check_switches(config) -> None:
+    """Raise TypeError unless the dataclass ``config`` holds a bool in exactly its ``bool``
+    fields: a switch must be a JSON boolean, and a number or a name must not be one."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) != (f.type in ("bool", bool)):
+            raise TypeError(f"{f.name} must {'not ' * isinstance(value, bool)}be a boolean, "
+                            f"got {value!r}")

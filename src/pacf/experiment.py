@@ -64,10 +64,10 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     """Full diagnostic pass over clean features with the current student/teacher.
 
     Distribution diagnostics run on unit-normalized embeddings (see the
-    module docstring); mean shift uses normalized class means. Hidden target
-    labels unlock the per-class target tables and the TP ratio, built from
-    the rows whose hidden label is known (not -1); without them the report
-    carries the label-free diagnostics only.
+    module docstring); mean shift uses normalized class means. The per-class
+    target tables and the TP ratio are built from the rows whose hidden
+    label is known (not -1); absent hidden labels are all unknown, which
+    leaves the label-free diagnostics only.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
     src_emb, _ = adapt.forward(state.student, source.features)
@@ -75,46 +75,31 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     src_unit = _unit_rows(src_emb)
     tgt_unit = _unit_rows(tgt_emb)
 
+    # both coefficients are nan when the target prototypes are missing (nan cosines)
     linear_scores, proto_cos = rank_consistency_scores(state, tgt_emb, tgt_probs)
-    spearman = kendall = float("nan")
-    if np.all(np.isfinite(proto_cos)):
-        spearman = metrics.spearman_rho(linear_scores, proto_cos)
-        kendall = metrics.kendall_tau(linear_scores, proto_cos)
-
     pseudo = generate_pseudo_labels(state.teacher, target_features, config.pseudo_threshold)
 
-    hidden = None
+    hidden = np.full(len(tgt_unit), -1, dtype=np.int64)
     if target_hidden_labels is not None:
         hidden = np.asarray(target_hidden_labels, dtype=np.int64)
-    source_variance = metrics.intra_class_variance(src_unit, source.labels)
-    target_variance: dict[int, float] = {}
-    shift: dict[int, float] = {}
-    ratios: dict[int, float] = {}
-    if hidden is not None:
-        known = hidden >= 0
-        target_variance = metrics.intra_class_variance(tgt_unit[known], hidden[known])
-        shift = metrics.mean_shift(src_unit, source.labels, tgt_unit[known], hidden[known],
-                                   normalize_means=True)
-        checked = known[pseudo.indices]
-        if checked.any():
-            ratios = metrics.tp_ratio(pseudo.labels[checked], pseudo.indices[checked], hidden)
+    known = hidden >= 0
+    checked = known[pseudo.indices]
 
     # the A-distance probes the embeddings the discriminator actually sees
     report = metrics.MetricsReport(
-        source_variance=source_variance,
-        target_variance=target_variance,
-        mean_shift=shift,
+        source_variance=metrics.intra_class_variance(src_unit, source.labels),
+        target_variance=metrics.intra_class_variance(tgt_unit[known], hidden[known]),
+        mean_shift=metrics.mean_shift(src_unit, source.labels, tgt_unit[known], hidden[known],
+                                      normalize_means=True),
         proxy_a_distance=metrics.proxy_a_distance(src_emb, tgt_emb),
-        spearman=spearman,
-        kendall=kendall,
-        tp_ratio=ratios,
+        spearman=metrics.spearman_rho(linear_scores, proto_cos),
+        kendall=metrics.kendall_tau(linear_scores, proto_cos),
+        tp_ratio=metrics.tp_ratio(pseudo.labels[checked], pseudo.indices[checked], hidden),
         pseudo_count=len(pseudo),
     )
-    projection = metrics.pca_project_2d(tgt_unit)
-    labels = hidden if hidden is not None else np.full(len(tgt_unit), -1, dtype=np.int64)
     return EvalResult(report=report, linear_scores=linear_scores,
-                      prototype_cosines=proto_cos, projection=projection,
-                      projection_labels=labels)
+                      prototype_cosines=proto_cos, projection=metrics.pca_project_2d(tgt_unit),
+                      projection_labels=hidden)
 
 
 def run_and_evaluate(dataset: DatasetPair, config: TrainerConfig

@@ -40,11 +40,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import mathcore
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, ZeroVector, check_switches
 from .mathcore import CLAMP_EPS, NORM_EPS, clamped_log
 from .prototypes import PrototypeSet
-
-REGULARIZER_KINDS = ("l2", "kl", "jsd")
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,8 @@ class LossWeights:
     lambda_mut: float = 1.0
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
+        check_switches(self)  # raw fields throughout: as_dict() casts to float
+        for name, value in vars(self).items():
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 

@@ -59,23 +59,6 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def cosine_gradient(m, x) -> np.ndarray:
-    """Gradient of cos(m, x) with respect to x; m is treated as a constant.
-
-    d/dx cos(m, x) = m / (|m||x|) - cos(m, x) * x / |x|^2
-    """
-    m = as_vector(m)
-    x = as_vector(x)
-    if m.shape != x.shape:
-        raise DimensionMismatch(f"dimension mismatch: {m.shape} vs {x.shape}")
-    nm = float(np.linalg.norm(m))
-    nx = float(np.linalg.norm(x))
-    if nm <= NORM_EPS or nx <= NORM_EPS:
-        raise ZeroVector("cosine gradient is undefined for zero vectors")
-    c = float(np.dot(m, x) / (nm * nx))
-    return m / (nm * nx) - c * x / (nx * nx)
-
-
 def _check_temperature(tau: float) -> float:
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0.0:
@@ -125,17 +108,6 @@ def softplus(z) -> np.ndarray:
     """log(1 + exp(z)) without overflow, elementwise."""
     z = np.asarray(z, dtype=np.float64)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def sigmoid_probability(score: float, tau: float) -> np.ndarray:
-    """Two-entry distribution [p, 1 - p] with p = sigmoid(score / tau).
-
-    This is the single-class stand-in for the cosine softmax: index 0 is the
-    class, index 1 its complement.
-    """
-    tau = _check_temperature(tau)
-    p = float(sigmoid(float(score) / tau))
-    return np.array([p, 1.0 - p], dtype=np.float64)
 
 
 def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:

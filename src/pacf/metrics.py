@@ -51,19 +51,18 @@ def mean_shift(source_features, source_labels, target_features, target_labels,
     return shifts
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, iterations: int = 400,
-                  learning_rate: float = 1.0, l2: float = 1e-3) -> np.ndarray:
+def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent on regularized logistic loss; deterministic."""
     w = np.zeros(x.shape[1])
     n = len(y)
-    for _ in range(iterations):
+    for _ in range(400):
         grad = x.T @ (sigmoid(x @ w) - y) / n
-        grad[:-1] += l2 * w[:-1]  # bias column is last and unregularized
-        w = w - learning_rate * grad
+        grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
+        w = w - grad
     return w
 
 
-def proxy_a_distance(source_embeddings, target_embeddings, split_seed: int = 0) -> float:
+def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     """2 * (1 - eps) where eps is the held-out error of a domain classifier.
 
     A logistic classifier is trained on a seeded 50/50 split of the pooled
@@ -80,7 +79,7 @@ def proxy_a_distance(source_embeddings, target_embeddings, split_seed: int = 0) 
             f"need >= 20 samples per domain, got {len(xs)} and {len(xt)}")
     x = np.vstack([xs, xt])
     y = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
-    rng = np.random.Generator(np.random.PCG64(split_seed))
+    rng = np.random.Generator(np.random.PCG64(0))
     perm = rng.permutation(len(x))
     half = len(x) // 2
     train_idx, test_idx = perm[:half], perm[half:]

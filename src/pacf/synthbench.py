@@ -12,11 +12,13 @@ numpy's PCG64, so a given seed always reproduces the same datasets.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError
+from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError,
+                     check_switches)
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
@@ -73,6 +75,7 @@ class DomainShiftSpec:
     seed: int = 100
 
     def __post_init__(self):
+        check_switches(self)
         for name in ("class_count", "dim", "samples_per_class", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -82,6 +85,8 @@ class DomainShiftSpec:
             raise InvalidSpec(f"dim must be >= 2, got {self.dim}")
         if self.samples_per_class < 1:
             raise InvalidSpec("samples_per_class must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not (self.source_std > 0.0 and np.isfinite(self.source_std)):
             raise InvalidSpec(f"source_std must be positive, got {self.source_std!r}")
         if not (self.target_std_multiplier >= 1.0 and np.isfinite(self.target_std_multiplier)):
@@ -179,12 +184,20 @@ def format_column(column) -> list[str]:
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 with ``\\n`` line ends; an OSError becomes :class:`IoError`."""
+    """Write ``text`` as UTF-8 with ``\\n`` line ends; an OSError becomes :class:`IoError`.
+
+    A sibling temporary file replaces ``path`` in one rename, so a write cut
+    short leaves the previous file intact."""
+    temporary = f"{path}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(temporary, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 def write_csv(path, header, columns) -> None:

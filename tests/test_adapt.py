@@ -153,6 +153,19 @@ class TestGeneratePseudoLabels:
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[-1] == 0  # thresholds above 1 disable pseudo labeling
 
+    def test_single_class_keeps_only_the_class(self):
+        # a sigmoid head gives [p, 1 - p] rows, whose argmax 1 is "no class"
+        teacher = make_params(d_in=1, d_feat=1, classes=1)
+        teacher.extractor_w = np.ones((1, 1))
+        teacher.extractor_b = np.zeros(1)
+        teacher.classifier_w = np.ones((1, 1))
+        teacher.classifier_b = np.zeros(1)
+        logits = np.log(np.array([[0.4], [0.7]]) / np.array([[0.6], [0.3]]))
+        pseudo = generate_pseudo_labels(teacher, logits, 0.3)
+        assert pseudo.indices.tolist() == [1]
+        assert pseudo.labels.tolist() == [0]
+        assert pseudo.scores[0] == pytest.approx(0.7, rel=1e-12)
+
     def test_threshold_above_one_allowed(self):
         teacher = self.make_confident_teacher()
         pseudo = generate_pseudo_labels(teacher, np.array([[2.0, 0.0]]), 1.5)

@@ -9,7 +9,7 @@ import pytest
 from pacf import cli, experiment
 from pacf.adapt import TrainerConfig
 from pacf.errors import ConfigError, IoError, MissingArtifact, ParseError
-from pacf.synthbench import DomainShiftSpec
+from pacf.synthbench import DomainShiftSpec, read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -432,6 +432,21 @@ class TestReport:
             header = (out / name).read_text().splitlines()[0].split(",")
             assert len(set(header)) == len(header), (name, header)
 
+    def test_run_names_keep_csv_cells_intact(self, trained_run, tmp_path):
+        _, run_dir = trained_run
+        for odd in ("a,b", "c\nd\re"):
+            shutil.copytree(run_dir, tmp_path / odd)
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), str(tmp_path / "a,b"), str(tmp_path / "c\nd\re"),
+                    "--out", str(out)]) == 0
+        for name in ("variance_source_comparison.csv", "variance_target_comparison.csv",
+                     "mean_shift_comparison.csv", "tp_ratio_comparison.csv",
+                     "summary_comparison.csv"):
+            read_csv(out / name, lambda header: True, list)
+        header = (out / "variance_source_comparison.csv").read_text().splitlines()[0]
+        assert header.split(",")[1:4] == ["variance_run", "variance_a_b", "variance_c_d_e"]
+
     def test_svg_text_is_escaped(self, trained_run, tmp_path):
         _, run_dir = trained_run
         odd = run_dir.rename(tmp_path / "a&b<c>")
@@ -519,6 +534,13 @@ class TestConfigParsing:
         ("train", "trainer", "steps", 2.5),
         ("train", "trainer", "batch_size", 3.5),
         ("train", "trainer", "seed", "x"),
+        ("train", "ablation", "enable_pce", "false"),
+        ("train", "ablation", "enable_adversarial", "no"),
+        ("train", "trainer", "steps", True),
+        ("train", "trainer", "tau", True),
+        ("train", "trainer", "lambda_dis", True),
+        ("train", "trainer", "lambda_unsup", "1"),
+        ("gen", "benchmark", "source_std", True),
     ])
     def test_wrong_value_type_fails_with_one_line(self, tmp_path, capsys,
                                                   command, section, key, value):
@@ -534,6 +556,19 @@ class TestConfigParsing:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, error", [("gen", "InvalidSpec"), ("train", "ConfigError")])
+    def test_negative_seed_fails_with_one_line(self, tmp_path, config_path, capsys,
+                                               command, error):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", config_path, "--out", str(out), "--seed", "-1"]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "unused")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "seed" in err
         assert err.count("\n") == 1
 
     def load(self, name):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pacf import mathcore
+from pacf import losses, mathcore
 from pacf.errors import DimensionMismatch, InvalidTemperature, ZeroVector
 
 
@@ -127,23 +127,19 @@ class TestTemperatureSoftmax:
 
 class TestSigmoidProbability:
     def test_zero_score(self):
-        np.testing.assert_allclose(mathcore.sigmoid_probability(0.0, 1.0), [0.5, 0.5],
-                                   atol=1e-15)
+        np.testing.assert_allclose(losses.class_probabilities(np.array([[0.0 / 1.0]]))[0],
+                                   [0.5, 0.5], atol=1e-15)
 
     def test_saturation(self):
-        probs = mathcore.sigmoid_probability(500.0, 1.0)
+        probs = losses.class_probabilities(np.array([[500.0 / 1.0]]))[0]
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
         assert probs[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_formula(self):
         expected = 1.0 / (1.0 + math.exp(-10.0))
-        probs = mathcore.sigmoid_probability(0.5, 0.05)
+        probs = losses.class_probabilities(np.array([[0.5 / 0.05]]))[0]
         assert probs[0] == pytest.approx(expected, rel=1e-12)
         assert probs[1] == pytest.approx(1.0 - expected, rel=1e-9)
-
-    def test_invalid_temperature(self):
-        with pytest.raises(InvalidTemperature):
-            mathcore.sigmoid_probability(1.0, 0.0)
 
 
 class TestKlDivergence:
@@ -219,7 +215,9 @@ class TestFiniteDifferenceGradient:
         for _ in range(20):
             mu = mathcore.l2_normalize(rng.normal(size=5))
             x = mathcore.l2_normalize(rng.normal(size=5))
-            analytic = mathcore.cosine_gradient(mu, x)
+            norms, cos = losses.prototype_geometry(x[None], mu[None])
+            analytic = losses.cosine_grad_to_features(np.ones((1, 1)), cos, x[None], norms,
+                                                      mu[None])[0]
             numeric = mathcore.finite_difference_gradient(
                 lambda v: mathcore.cosine_similarity(mu, v), x, 1e-5)
             np.testing.assert_allclose(analytic, numeric, atol=1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pacf.errors import EmptyBatch, InvalidSpec, IoError, ParseError
+from pacf import synthbench
 from pacf.synthbench import (DomainShiftSpec, LabeledBatch, generate, load_dump,
                              save_dump)
 
@@ -159,3 +160,33 @@ class TestDumpRoundTrip:
         batch = LabeledBatch([[1.0, 2.0]], [0], [0.5])
         with pytest.raises(IoError):
             save_dump(batch, tmp_path / "missing_dir" / "dump.csv")
+
+
+class TestWriteText:
+    def test_cut_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        synthbench.write_text(path, "old\n")
+        real_open = open
+
+        class HalfWrite:
+            """A file that takes half of the text, then fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(synthbench, "open", HalfWrite, raising=False)
+        with pytest.raises(IoError):
+            synthbench.write_text(path, "new contents\n")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
