@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, Diverged, check_switches, entry_reader
+from .errors import DimensionMismatch, Diverged, check_field_types, entry_reader
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
@@ -156,10 +156,7 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_switches(self)
-        for name in ("warmup_steps", "steps", "batch_size", "feature_dim", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not (0.0 < self.init_threshold <= 1.0):

@@ -29,7 +29,7 @@ from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
-                         read_csv, save_dump, write_csv, write_text)
+                         parse_int64, read_csv, save_dump, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -57,6 +57,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
 
@@ -247,7 +249,7 @@ def _read_scatter_row(cells: list[str]) -> list[float]:
 
 
 def _read_projection_row(cells: list[str]) -> tuple[tuple[float, float], int]:
-    return (float(cells[0]), float(cells[1])), int(cells[2])
+    return (float(cells[0]), float(cells[1])), parse_int64(cells[2])
 
 
 def _write_comparison(path: str, names: list[str], tables: list[dict[int, float]],

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the mapping of a malformed JSON
-document onto :class:`ParseError`, and the switch typing rule of config values."""
+document onto :class:`ParseError`, and the typing rule of config fields."""
 
 from dataclasses import fields
+from numbers import Integral, Real
 
 
 class PacfError(Exception):
@@ -81,11 +82,20 @@ def entry_reader(doc, path: str):
     return entry
 
 
-def check_switches(config) -> None:
-    """Raise TypeError unless the dataclass ``config`` holds a bool in exactly its ``bool``
-    fields: a switch must be a JSON boolean, and a number or a name must not be one."""
+# declared type of a number field -> the values it accepts, and their name in an error
+_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError naming the field unless each ``bool``, ``int`` and ``float`` field of
+    the dataclass ``config`` holds that kind of value: a switch must be a JSON boolean, an
+    ``int`` field an integer and a ``float`` field a number, and no number may be a boolean."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, bool) != (f.type in ("bool", bool)):
+        declared = getattr(f.type, "__name__", f.type)  # a type, or its postponed name
+        if isinstance(value, bool) != (declared == "bool"):
             raise TypeError(f"{f.name} must {'not ' * isinstance(value, bool)}be a boolean, "
                             f"got {value!r}")
+        accepted, kind = _NUMBER_FIELDS.get(declared, (object, ""))
+        if not isinstance(value, accepted):
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")

@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import mathcore
-from .errors import DimensionMismatch, ZeroVector, check_switches
+from .errors import DimensionMismatch, ZeroVector, check_field_types
 from .mathcore import CLAMP_EPS, NORM_EPS, clamped_log
 from .prototypes import PrototypeSet
 
@@ -63,7 +63,7 @@ class LossWeights:
     lambda_mut: float = 1.0
 
     def __post_init__(self):
-        check_switches(self)  # raw fields throughout: as_dict() casts to float
+        check_field_types(self)  # raw fields throughout: as_dict() casts to float
         for name, value in vars(self).items():
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

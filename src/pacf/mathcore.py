@@ -94,14 +94,15 @@ def softmax_vjp(probs, grad_probs) -> np.ndarray:
 
 
 def sigmoid(z) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With e = exp(-|z|) it is 1 / (1 + e) for z >= 0 and e / (1 + e) otherwise.
+    -|z| is taken as min(z, -z), which keeps the sign of a NaN input.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    denominator = 1.0 + e
+    return np.where(z >= 0.0, 1.0 / denominator, e / denominator)
 
 
 def softplus(z) -> np.ndarray:

@@ -13,15 +13,19 @@ numpy's PCG64, so a given seed always reproduces the same datasets.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError,
-                     check_switches)
+                     check_field_types)
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
+_INT64 = np.iinfo(np.int64)
+# every byte of a dump's data lines as save_dump writes them, and \r of other line ends
+_DUMP_BYTES = b"0123456789+-.e,\n\r"
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,7 @@ class DomainShiftSpec:
     seed: int = 100
 
     def __post_init__(self):
-        check_switches(self)
-        for name in ("class_count", "dim", "samples_per_class", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if self.class_count < 1:
             raise InvalidSpec(f"class_count must be >= 1, got {self.class_count}")
         if self.dim < 2:
@@ -209,19 +210,24 @@ def write_csv(path, header, columns) -> None:
 def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
     """The line numbers and ``parse_row(cells)`` of every non-blank data line of a CSV.
 
-    The header must satisfy ``header_ok(cells)`` and every data line must
-    have as many cells as the header. A missing file raises
-    :class:`IoError`, a file without data lines :class:`EmptyBatch`, and a
-    bad header, a short or long line or a ``ValueError`` from ``parse_row``
-    a :class:`ParseError` naming the file and the line.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else: in a file with
+    ``\\n`` line ends, line N is what ``awk NR==N`` prints. The header must
+    satisfy ``header_ok(cells)`` and every data line must have as many cells
+    as the header. A missing file raises :class:`IoError`, a file without
+    data lines :class:`EmptyBatch`, and a file that is not UTF-8, a bad
+    header, a short or long line or a ``ValueError`` from ``parse_row`` a
+    :class:`ParseError` naming the file (and the line).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not text:
         raise EmptyBatch(f"{path} is empty")
+    lines = text.split("\n")  # the read already turned \r\n and \r into \n
     header = lines[0].split(",")
     if not header_ok(header):
         raise ParseError(f"{path} line 1: bad header {lines[0]!r}")
@@ -243,6 +249,14 @@ def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
     return linenos, rows
 
 
+def parse_int64(cell: str) -> int:
+    """``int(cell)``, with a ValueError for a value outside int64."""
+    value = int(cell)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{cell!r} does not fit in int64")
+    return value
+
+
 def save_dump(batch: LabeledBatch, path) -> None:
     """Write a batch as CSV: header ``label,score,f0,...``; floats keep full precision."""
     write_csv(path, _dump_header(batch.dim), [batch.labels, batch.scores, *batch.features.T])
@@ -252,14 +266,25 @@ def _dump_header(dim: int) -> list[str]:
     return [*DUMP_HEADER_PREFIX, *(f"f{i}" for i in range(dim))]
 
 
+def _dump_header_ok(cells: list[str]) -> bool:
+    return len(cells) > 2 and cells == _dump_header(len(cells) - 2)
+
+
 def _parse_dump_row(cells: list[str]) -> tuple[int, float, list[float]]:
-    return int(cells[0]), float(cells[1]), [float(v) for v in cells[2:]]
+    return parse_int64(cells[0]), float(cells[1]), [float(v) for v in cells[2:]]
 
 
 def load_dump(path) -> LabeledBatch:
-    """Read a CSV feature dump; the exact inverse of :func:`save_dump`."""
-    linenos, rows = read_csv(path, lambda h: len(h) > 2 and h == _dump_header(len(h) - 2),
-                             _parse_dump_row)
+    """Read a CSV feature dump; the exact inverse of :func:`save_dump`.
+
+    A well-formed dump is read by numpy's C reader; any other file goes
+    through :func:`read_csv`, which decides what is accepted and names the
+    bad line.
+    """
+    batch = _load_well_formed_dump(path)
+    if batch is not None:
+        return batch
+    linenos, rows = read_csv(path, _dump_header_ok, _parse_dump_row)
     labels, scores, features = zip(*rows)
     features = np.asarray(features)
     scores = np.asarray(scores)
@@ -267,3 +292,37 @@ def load_dump(path) -> LabeledBatch:
     if not finite.all():
         raise ParseError(f"{path} line {linenos[int(np.argmin(finite))]}: non-finite value")
     return LabeledBatch(features, np.asarray(labels), scores)
+
+
+def _load_well_formed_dump(path) -> LabeledBatch | None:
+    """The dump at ``path`` read by one ``np.loadtxt`` call, or None where that read
+    might differ from :func:`read_csv`'s.
+
+    It takes only what :func:`save_dump` writes, with ``\\n``, ``\\r\\n`` or ``\\r``
+    line ends: a good header, then data lines made of ``_DUMP_BYTES`` alone.
+    There numpy and ``int``/``float`` read every cell alike, since no cell
+    holds whitespace, ``_``, a quote or a non-ASCII digit, on which they
+    disagree. It declines a file it cannot open, any other byte, a cell or
+    line numpy rejects or warns about, no data rows and a non-finite value.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+            if not _dump_header_ok(header.decode("ascii").split(",")):
+                return None
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                if chunk.translate(None, _DUMP_BYTES):
+                    return None
+        dtype = np.dtype([("label", np.int64), ("score", np.float64),
+                          ("features", np.float64, (header.count(b",") - 1,))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                               ndmin=1, encoding="utf-8")
+    except (OSError, ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+        return None
+    features, scores = table["features"], table["score"]
+    if len(table) == 0 or not (np.isfinite(features).all() and np.isfinite(scores).all()):
+        return None
+    return LabeledBatch(np.ascontiguousarray(features), np.ascontiguousarray(table["label"]),
+                        np.ascontiguousarray(scores))

@@ -265,6 +265,15 @@ class TestTrain:
         assert err.startswith("error: DimensionMismatch: ")
         assert "target" in err  # checked before warm-up, not by the first target forward
 
+    @pytest.mark.filterwarnings("error")  # no numpy "input contained no data" warning
+    def test_header_only_target_fails_with_one_line(self, tmp_path, config_path, capsys):
+        code = self.train_on_edited_data(tmp_path, config_path, "target.csv",
+                                         lambda lines: lines[:1])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: EmptyBatch: ") and "target.csv" in err
+
     @pytest.mark.filterwarnings("error")  # nothing but the one error line
     def test_diverging_run_fails_with_step(self, tmp_path, config_path, capsys):
         doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -342,6 +351,33 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(data), "--out", str(out)]) == 1
         assert_one_hidden_row_count_line(capsys.readouterr().err)
+
+    def test_non_utf8_source_fails_with_one_line(self, trained_run, tmp_path, capsys):
+        data, run_dir = trained_run
+        source = data / "source.csv"
+        text = source.read_bytes()
+        source.write_bytes(text[:100] + b"\xe9" + text[100:])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert str(source) in err and "UTF-8" in err
+
+    def test_non_utf8_checkpoint_fails_with_one_line(self, trained_run, tmp_path, capsys):
+        data, _ = trained_run
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(b'{"format": "\xe9"}')
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(path), "--data", str(data),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert str(path) in err and "UTF-8" in err
 
     def test_missing_checkpoint(self, trained_run, tmp_path, capsys):
         data, _ = trained_run
@@ -481,6 +517,8 @@ class TestReport:
         ("rank_scatter.csv", lambda text: with_line(text, 1, "abc,0.5"), "line 2"),
         ("projection.csv", lambda text: with_line(text, 1, "0.5,0.5"), "line 2"),
         ("projection.csv", lambda text: with_line(text, 1, "0.5,0.5,1.5"), "line 2"),
+        ("projection.csv",
+         lambda text: with_line(text, 1, "0.5,0.5,99999999999999999999"), "line 2"),
         ("metrics.json",
          lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "target_variance"}), "'target_variance'"),
@@ -541,6 +579,8 @@ class TestConfigParsing:
         ("train", "trainer", "lambda_dis", True),
         ("train", "trainer", "lambda_unsup", "1"),
         ("gen", "benchmark", "source_std", True),
+        ("train", "trainer", "tau", "0.05"),
+        ("gen", "benchmark", "source_std", "1.0"),
     ])
     def test_wrong_value_type_fails_with_one_line(self, tmp_path, capsys,
                                                   command, section, key, value):
@@ -557,6 +597,7 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
+        assert key in err
 
     @pytest.mark.parametrize("command, error", [("gen", "InvalidSpec"), ("train", "ConfigError")])
     def test_negative_seed_fails_with_one_line(self, tmp_path, config_path, capsys,

@@ -142,6 +142,47 @@ class TestSigmoidProbability:
         assert probs[1] == pytest.approx(1.0 - expected, rel=1e-9)
 
 
+def oracle_sigmoid(z):
+    """The masked two-branch logistic function: the reference for ``mathcore.sigmoid``."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestSigmoid:
+    """``sigmoid`` equals ``oracle_sigmoid`` bit for bit, signed zeros and NaNs included."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 709.8, -709.8,
+               745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1e-300, -1e-300, 36.7, -36.7, 1.0, -1.0]
+
+    def test_special_values(self):
+        z = np.array(self.SPECIAL)
+        z = np.concatenate([z, np.array([0x7FF8000000000123, 0xFFF8000000000321],
+                                        dtype=np.uint64).view(np.float64)])  # NaN payloads
+        assert_bitwise_equal(mathcore.sigmoid(z), oracle_sigmoid(z))
+
+    def test_scaled_random_values(self):
+        rng = np.random.default_rng(11)
+        for k in range(-320, 309, 7):
+            z = rng.standard_normal(257) * 10.0 ** k
+            assert_bitwise_equal(mathcore.sigmoid(z), oracle_sigmoid(z))
+
+    def test_shapes(self):
+        rng = np.random.default_rng(12)
+        for z in (np.float64(-3.5), 2.0, rng.standard_normal((3, 4)) * 50, np.zeros(0)):
+            assert_bitwise_equal(mathcore.sigmoid(z), oracle_sigmoid(z))
+
+
 class TestKlDivergence:
     def test_identical_distributions(self):
         p = np.array([0.2, 0.3, 0.5])

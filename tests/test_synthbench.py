@@ -161,6 +161,186 @@ class TestDumpRoundTrip:
         with pytest.raises(IoError):
             save_dump(batch, tmp_path / "missing_dir" / "dump.csv")
 
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,score,f0\n0,0.5,1.\xe9\n")
+        assert synthbench._load_well_formed_dump(path) is None
+        with pytest.raises(ParseError, match="bad.csv.*UTF-8"):
+            load_dump(path)
+
+    def test_label_outside_int64_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,score,f0\n0,0.5,1.0\n99999999999999999999,0.5,2.0\n")
+        with pytest.raises(ParseError, match="bad.csv line 3: .*int64"):
+            load_dump(path)
+
+    def test_lines_break_only_at_newlines(self, tmp_path):
+        # a vertical tab is whitespace inside a cell, not a line break: "oops" is on
+        # line 4 as awk counts lines
+        path = tmp_path / "bad.csv"
+        path.write_text("label,score,f0\n0,0.5,1.0\v\n1,0.5,2.0\n2,0.5,oops\n")
+        with pytest.raises(ParseError, match="line 4:"):
+            load_dump(path)
+
+    def test_crlf_and_cr_are_one_line_break(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,score,f0\r\n0,0.5,1.0\r1,0.5,2.0\r\n2,0.5,oops\r\n")
+        with pytest.raises(ParseError, match="line 4:"):
+            load_dump(path)
+
+    def test_well_formed_dump_skips_the_cell_parser(self, tmp_path, monkeypatch):
+        batch = LabeledBatch([[1.0, -0.0], [5e-324, 2.5]], [3, -1], [0.5, -1.0])
+        path = tmp_path / "dump.csv"
+        save_dump(batch, path)
+
+        def no_read_csv(*args):
+            raise AssertionError("a well-formed dump went through read_csv")
+
+        monkeypatch.setattr(synthbench, "read_csv", no_read_csv)
+        assert_same_load(load_dump(path), batch)
+
+
+def oracle_load_dump(path) -> LabeledBatch:
+    """The loader that parses every cell through ``read_csv``: the reference for ``load_dump``."""
+    linenos, rows = synthbench.read_csv(path, synthbench._dump_header_ok,
+                                        synthbench._parse_dump_row)
+    labels, scores, features = zip(*rows)
+    features = np.asarray(features)
+    scores = np.asarray(scores)
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(scores)
+    if not finite.all():
+        raise ParseError(f"{path} line {linenos[int(np.argmin(finite))]}: non-finite value")
+    return LabeledBatch(features, np.asarray(labels), scores)
+
+
+def load_outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the outcome compared is the exception's type and message
+        return exc
+
+
+def assert_same_load(got, expected):
+    """Bitwise-equal batches, or exceptions of the same type and message."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, LabeledBatch), got
+    for name in ("features", "labels", "scores"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags["C_CONTIGUOUS"]
+        assert a.tobytes() == b.tobytes(), name
+
+
+DUMP_HEADER = b"label,score,f0,f1\n"
+
+# (name, file bytes): every shape of input the two readers might treat differently
+EDGE_DUMPS = [
+    ("well formed", DUMP_HEADER + b"0,0.5,1.0,2.0\n1,-1.0,3.0,4.0\n"),
+    ("crlf", b"label,score,f0,f1\r\n0,0.5,1.0,2.0\r\n1,0.5,3.0,4.0\r\n"),
+    ("lone cr", b"label,score,f0,f1\r0,0.5,1.0,2.0\r1,0.5,3.0,4.0"),
+    ("blank lines", DUMP_HEADER + b"\n0,0.5,1.0,2.0\n\n\n1,0.5,3.0,4.0\n\n"),
+    ("whitespace-only line", DUMP_HEADER + b"0,0.5,1.0,2.0\n \n1,0.5,3.0,4.0\n"),
+    ("tab-only line", DUMP_HEADER + b"0,0.5,1.0,2.0\n\t\n"),
+    ("no final newline", DUMP_HEADER + b"0,0.5,1.0,2.0\n1,0.5,3.0,4.0"),
+    ("bom header", b"\xef\xbb\xbf" + DUMP_HEADER + b"0,0.5,1.0,2.0\n"),
+    ("comment line", DUMP_HEADER + b"# note\n0,0.5,1.0,2.0\n"),
+    ("comment in cell", DUMP_HEADER + b"0,0.5,1.0,2.0#x\n"),
+    ("empty cell", DUMP_HEADER + b"0,0.5,,2.0\n"),
+    ("empty label", DUMP_HEADER + b",0.5,1.0,2.0\n"),
+    ("underscore float", DUMP_HEADER + b"0,0.5,1_0,2.0\n"),
+    ("underscore label", DUMP_HEADER + b"1_0,0.5,1.0,2.0\n"),
+    ("arabic-indic digit", DUMP_HEADER + "0,0.5,\u0663,2.0\n".encode()),
+    ("fullwidth label", DUMP_HEADER + "\uff13,0.5,1.0,2.0\n".encode()),
+    ("nan", DUMP_HEADER + b"0,0.5,nan,2.0\n"),
+    ("NaN score", DUMP_HEADER + b"0,NaN,1.0,2.0\n"),
+    ("inf", DUMP_HEADER + b"0,0.5,1.0,inf\n"),
+    ("-Infinity", DUMP_HEADER + b"0,0.5,-Infinity,2.0\n"),
+    ("+infinity", DUMP_HEADER + b"0,0.5,1.0,+infinity\n"),
+    ("nan on a later line", DUMP_HEADER + b"0,0.5,1.0,2.0\n\n1,0.5,3.0,nan\n"),
+    ("1e400", DUMP_HEADER + b"0,0.5,1e400,2.0\n"),
+    ("denormal", DUMP_HEADER + b"0,0.5,4.9e-324,-2.5e-320\n"),
+    ("negative zero", DUMP_HEADER + b"0,-0.0,-0.0,0.0\n"),
+    ("long mantissa", DUMP_HEADER
+     + b"0,0.5,0.1000000000000000055511151231257827021181583404541015625,2.0\n"),
+    ("label 3.0", DUMP_HEADER + b"3.0,0.5,1.0,2.0\n"),
+    ("label space 3", DUMP_HEADER + b" 3,0.5,1.0,2.0\n"),
+    ("label +3", DUMP_HEADER + b"+3,0.5,1.0,2.0\n"),
+    ("label 1e2", DUMP_HEADER + b"1e2,0.5,1.0,2.0\n"),
+    ("label beyond int64", DUMP_HEADER + b"9223372036854775808,0.5,1.0,2.0\n"),
+    ("label int64 min", DUMP_HEADER + b"-9223372036854775808,0.5,1.0,2.0\n"),
+    ("label int64 max", DUMP_HEADER + b"9223372036854775807,0.5,1.0,2.0\n"),
+    ("spaces around cells", DUMP_HEADER + b" 0 , 0.5 ,1.0\t, 2.0 \n"),
+    ("short row", DUMP_HEADER + b"0,0.5,1.0,2.0\n1,0.5,3.0\n"),
+    ("long row", DUMP_HEADER + b"0,0.5,1.0,2.0,5.0\n"),
+    ("trailing comma", DUMP_HEADER + b"0,0.5,1.0,2.0,\n"),
+    ("header only", DUMP_HEADER),
+    ("header only, no newline", DUMP_HEADER.rstrip(b"\n")),
+    ("empty file", b""),
+    ("newline only", b"\n"),
+    ("bad header", b"label,score,f0,f2\n0,0.5,1.0,2.0\n"),
+    ("header with cr cell", b"label,score,f0,f1\r\r\n0,0.5,1.0,2.0\n"),
+    ("header with trailing space", b"label,score,f0,f1 \n0,0.5,1.0,2.0\n"),
+    ("header ending at a lone cr", b"label,score,f0,f1\r0,0.5,1.0,2.0\n1,0.5,3.0,4.0\n"),
+    ("quoted cell", DUMP_HEADER + b'0,"0.5",1.0,2.0\n'),
+    ("hex float", DUMP_HEADER + b"0,0.5,0x1p3,2.0\n"),
+    ("vertical tab in cell", DUMP_HEADER + b"0,0.5,1.0\x0b,2.0\n1,0.5,x,2.0\n"),
+    ("form feed line", DUMP_HEADER + b"0,0.5,1.0,2.0\n\x0c\n"),
+    ("file separator", DUMP_HEADER + b"0,0.5,1.0\x1c,2.0\n"),
+    ("next line", DUMP_HEADER + "0,0.5,1.0\x85,2.0\n".encode()),
+    ("line separator", DUMP_HEADER + "0,0.5,1.0\u2028,2.0\n".encode()),
+    ("paragraph separator line", DUMP_HEADER + "0,0.5,1.0,2.0\n\u2029\n".encode()),
+    ("nul byte", DUMP_HEADER + b"0,0.5,1.0\x00,2.0\n"),
+    ("latin-1 byte", DUMP_HEADER + b"0,0.5,1.0,2.\xe9\n"),
+    ("truncated utf-8", DUMP_HEADER + b"0,0.5,1.0,2.0\xc3"),
+]
+
+
+class TestLoadDumpMatchesOracle:
+    """``load_dump`` equals the cell-by-cell loader bitwise, or fails the same way."""
+
+    @pytest.mark.parametrize("name, data", EDGE_DUMPS, ids=[n for n, _ in EDGE_DUMPS])
+    def test_edge_table(self, tmp_path, name, data):
+        path = tmp_path / "dump.csv"
+        path.write_bytes(data)
+        expected = load_outcome(oracle_load_dump, path)
+        assert_same_load(load_outcome(load_dump, path), expected)
+        fast = synthbench._load_well_formed_dump(path)  # declines rather than raising
+        if fast is not None:
+            assert_same_load(fast, expected)
+
+    def test_random_round_trips(self, tmp_path):
+        rng = np.random.default_rng(41)
+        path = tmp_path / "dump.csv"
+        for _ in range(60):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-320, 300, size=(n, dim))
+            features[rng.random((n, dim)) < 0.05] = -0.0
+            labels = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=n,
+                                  endpoint=True)
+            labels[rng.random(n) < 0.5] = rng.integers(-1, 10)
+            batch = LabeledBatch(features, labels, rng.uniform(-1.0, 1.0, size=n))
+            save_dump(batch, path)
+            loaded = load_dump(path)
+            assert_same_load(loaded, oracle_load_dump(path))
+            assert_same_load(loaded, batch)
+
+    def test_random_corruptions(self, tmp_path):
+        rng = np.random.default_rng(42)
+        path = tmp_path / "dump.csv"
+        save_dump(LabeledBatch(rng.normal(size=(4, 3)), [0, 1, -1, 2], [0.5, -1.0, 0.25, 1.0]),
+                  path)
+        clean = path.read_text()
+        pieces = [",", "\n", "\r", "\r\n", " ", "\t", "\v", "\x85", "\u2028", "#", '"', "_",
+                  "-", "+", ".", "e", "e999", "0", "9", "\u0663", "nan", "inf", "\ufeff", ""]
+        for _ in range(300):
+            text = clean
+            for _ in range(int(rng.integers(1, 4))):
+                at, cut = int(rng.integers(0, len(text) + 1)), int(rng.integers(0, 3))
+                text = text[:at] + pieces[int(rng.integers(len(pieces)))] + text[at + cut:]
+            path.write_bytes(text.encode("utf-8"))
+            assert_same_load(load_outcome(load_dump, path), load_outcome(oracle_load_dump, path))
+
 
 class TestWriteText:
     def test_cut_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
