@@ -264,7 +264,8 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     if batch.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"input dim {batch.shape[1]} does not match extractor dim {params.input_dim}")
-    emb = batch @ params.extractor_w + params.extractor_b
+    emb = batch @ params.extractor_w
+    emb += params.extractor_b
     probs = class_probabilities(emb @ params.classifier_w + params.classifier_b)
     if single:
         return emb[0], probs[0]

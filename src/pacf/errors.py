@@ -82,20 +82,47 @@ def entry_reader(doc, path: str):
     return entry
 
 
-# declared type of a number field -> the values it accepts, and their name in an error
-_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _numeric_shape(value, depth: int = 2) -> tuple | None:
+    """The shape of a number, ``()``, or of rectangular nested lists (or an array) of numbers
+    at most ``depth`` levels deep; None for anything else, an empty list included."""
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return () if _is_number(value) else None
+    shapes = {_numeric_shape(v, depth - 1) for v in value} if depth > 0 else {None}
+    if len(shapes) != 1 or None in shapes:
+        return None
+    return (len(value), *shapes.pop())
+
+
+# declared type (or its postponed name) of a number field -> the test its value must
+# pass, and the name of what passes in an error
+_NUMBER_FIELDS = {
+    "int": (lambda value: isinstance(value, Integral), "an integer"),
+    "float": (_is_number, "a number"),
+    "float | np.ndarray": (lambda value: _numeric_shape(value) is not None,
+                           "a number, or a (C, dim) numeric array"),
+    "np.ndarray | None": (lambda value: value is None or _numeric_shape(value) is not None,
+                          "null, or a (C, dim) numeric array"),
+}
 
 
 def check_field_types(config) -> None:
-    """Raise TypeError naming the field unless each ``bool``, ``int`` and ``float`` field of
-    the dataclass ``config`` holds that kind of value: a switch must be a JSON boolean, an
-    ``int`` field an integer and a ``float`` field a number, and no number may be a boolean."""
+    """Raise TypeError naming the field unless each typed field of the dataclass ``config``
+    holds that kind of value: a switch must be a JSON boolean, an ``int`` field an integer,
+    a ``float`` field a number, a ``float | np.ndarray`` field a number or a rectangular list
+    of numbers or of lists of numbers, and an ``np.ndarray | None`` field that or null; no
+    number may be a boolean. Shapes and ranges are the dataclass's to check."""
     for f in fields(config):
         value = getattr(config, f.name)
         declared = getattr(f.type, "__name__", f.type)  # a type, or its postponed name
         if isinstance(value, bool) != (declared == "bool"):
             raise TypeError(f"{f.name} must {'not ' * isinstance(value, bool)}be a boolean, "
                             f"got {value!r}")
-        accepted, kind = _NUMBER_FIELDS.get(declared, (object, ""))
-        if not isinstance(value, accepted):
+        accepted, kind = _NUMBER_FIELDS.get(declared, (lambda value: True, ""))
+        if not accepted(value):
             raise TypeError(f"{f.name} must be {kind}, got {value!r}")

@@ -56,7 +56,9 @@ def rank_consistency_scores(state: AdaptationState, embeddings: np.ndarray,
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    """``x`` with every row scaled to unit norm, in place."""
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 def evaluate_state(state: AdaptationState, config: TrainerConfig, source: LabeledBatch,
@@ -72,26 +74,30 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     target_features = np.asarray(target_features, dtype=np.float64)
     src_emb, _ = adapt.forward(state.student, source.features)
     tgt_emb, tgt_probs = adapt.forward(state.student, target_features)
-    src_unit = _unit_rows(src_emb)
-    tgt_unit = _unit_rows(tgt_emb)
+    # the A-distance probes the embeddings the discriminator actually sees; it
+    # runs while they are the only full-size arrays alive
+    proxy = metrics.proxy_a_distance(src_emb, tgt_emb)
 
     # both coefficients are nan when the target prototypes are missing (nan cosines)
     linear_scores, proto_cos = rank_consistency_scores(state, tgt_emb, tgt_probs)
     pseudo = generate_pseudo_labels(state.teacher, target_features, config.pseudo_threshold)
+    # nothing reads the raw embeddings after this
+    src_unit = _unit_rows(src_emb)
+    tgt_unit = _unit_rows(tgt_emb)
 
     hidden = np.full(len(tgt_unit), -1, dtype=np.int64)
     if target_hidden_labels is not None:
         hidden = np.asarray(target_hidden_labels, dtype=np.int64)
     known = hidden >= 0
     checked = known[pseudo.indices]
+    tgt_known, hidden_known = tgt_unit[known], hidden[known]
 
-    # the A-distance probes the embeddings the discriminator actually sees
     report = metrics.MetricsReport(
         source_variance=metrics.intra_class_variance(src_unit, source.labels),
-        target_variance=metrics.intra_class_variance(tgt_unit[known], hidden[known]),
-        mean_shift=metrics.mean_shift(src_unit, source.labels, tgt_unit[known], hidden[known],
+        target_variance=metrics.intra_class_variance(tgt_known, hidden_known),
+        mean_shift=metrics.mean_shift(src_unit, source.labels, tgt_known, hidden_known,
                                       normalize_means=True),
-        proxy_a_distance=metrics.proxy_a_distance(src_emb, tgt_emb),
+        proxy_a_distance=proxy,
         spearman=metrics.spearman_rho(linear_scores, proto_cos),
         kendall=metrics.kendall_tau(linear_scores, proto_cos),
         tp_ratio=metrics.tp_ratio(pseudo.labels[checked], pseudo.indices[checked], hidden),

@@ -62,13 +62,35 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w
 
 
+def _pooled_rows(xs: np.ndarray, xt: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the pooled ``[xs; xt]``, without building the pool, in the first
+    columns of a C-contiguous (len(rows), d + 1) array whose last column is 1 (the bias)."""
+    out = np.empty((len(rows), xs.shape[1] + 1))
+    out[:, -1] = 1.0
+    x = out[:, :-1]
+    from_source = rows < len(xs)
+    x[from_source] = xs[rows[from_source]]
+    x[~from_source] = xt[rows[~from_source] - len(xs)]
+    return out
+
+
+def _standardize(design: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """``(x - mu) / sd`` in place on every column of ``design`` but the bias."""
+    x = design[:, :-1]
+    np.subtract(x, mu, out=x)
+    np.divide(x, sd, out=x)
+    return design
+
+
 def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     """2 * (1 - eps) where eps is the held-out error of a domain classifier.
 
     A logistic classifier is trained on a seeded 50/50 split of the pooled
     embeddings (source labeled 0, target 1) and evaluated on the held-out
     half; the result is clamped to [0, 2]. Note the formula maps
-    indistinguishable domains (eps = 0.5) to 1.0, not 0.
+    indistinguishable domains (eps = 0.5) to 1.0, not 0. Each half is
+    gathered once, into its own design matrix, so the peak memory is about
+    two copies of the train half.
     """
     xs = np.asarray(source_embeddings, dtype=np.float64)
     xt = np.asarray(target_embeddings, dtype=np.float64)
@@ -77,20 +99,19 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     if len(xs) < 20 or len(xt) < 20:
         raise InsufficientSamples(
             f"need >= 20 samples per domain, got {len(xs)} and {len(xt)}")
-    x = np.vstack([xs, xt])
-    y = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
     rng = np.random.Generator(np.random.PCG64(0))
-    perm = rng.permutation(len(x))
-    half = len(x) // 2
-    train_idx, test_idx = perm[:half], perm[half:]
-    mu = x[train_idx].mean(axis=0)
-    sd = x[train_idx].std(axis=0)
+    perm = rng.permutation(len(xs) + len(xt))
+    y = (perm >= len(xs)).astype(np.float64)  # the domain of each permuted row
+    half = len(perm) // 2
+    train = _pooled_rows(xs, xt, perm[:half])
+    mu = train[:, :-1].mean(axis=0)
+    sd = train[:, :-1].std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
-    xn = (x - mu) / sd
-    xn = np.hstack([xn, np.ones((len(xn), 1))])
-    w = _fit_logistic(xn[train_idx], y[train_idx])
-    pred = (xn[test_idx] @ w >= 0.0).astype(np.float64)
-    eps = float(np.mean(pred != y[test_idx]))
+    w = _fit_logistic(_standardize(train, mu, sd), y[:half])
+    del train
+    test = _standardize(_pooled_rows(xs, xt, perm[half:]), mu, sd)
+    pred = (test @ w >= 0.0).astype(np.float64)
+    eps = float(np.mean(pred != y[half:]))
     return float(np.clip(2.0 * (1.0 - eps), 0.0, 2.0))
 
 

@@ -23,6 +23,7 @@ from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseE
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
+CSV_BLOCK_ROWS = 1024  # rows that write_csv formats at a time
 _INT64 = np.iinfo(np.int64)
 # every byte of a dump's data lines as save_dump writes them, and \r of other line ends
 _DUMP_BYTES = b"0123456789+-.e,\n\r"
@@ -184,15 +185,18 @@ def format_column(column) -> list[str]:
     return cells
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 with ``\\n`` line ends; an OSError becomes :class:`IoError`.
+def write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of strings written one after another, as
+    UTF-8 with ``\\n`` line ends; an OSError becomes :class:`IoError`.
 
     A sibling temporary file replaces ``path`` in one rename, so a write cut
-    short leaves the previous file intact."""
+    short, by an OSError or by any exception of the iterable, leaves the
+    previous file intact."""
     temporary = f"{path}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(temporary, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -202,9 +206,22 @@ def write_text(path, text: str) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header``, each formatted by :func:`format_column`."""
-    cells = [format_column(column) for column in columns]
-    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+    """Write equal-length ``columns`` under ``header``, each formatted by :func:`format_column`.
+
+    The rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, so the
+    text of one block is held at once, not the text of the file. Each column
+    is made an array first, so its cells are formatted as one dtype whichever
+    block they fall in."""
+    columns = [np.asarray(column) for column in columns]
+    rows = min(map(len, columns), default=0)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [format_column(column[start:start + CSV_BLOCK_ROWS]) for column in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_text(path, blocks())
 
 
 def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -581,6 +582,13 @@ class TestConfigParsing:
         ("gen", "benchmark", "source_std", True),
         ("train", "trainer", "tau", "0.05"),
         ("gen", "benchmark", "source_std", "1.0"),
+        ("gen", "benchmark", "target_mean_shift", "1.5"),
+        ("gen", "benchmark", "target_mean_shift", None),
+        ("gen", "benchmark", "target_mean_shift", [[1.5] * 8] * 3 + [[1.5] * 7 + ["x"]]),
+        ("gen", "benchmark", "source_means", [[0.0] * 8] * 3 + [[0.0] * 7 + ["x"]]),
+        ("gen", "benchmark", "source_means", [[0.0] * 8] * 3 + [[0.0] * 7 + [True]]),
+        ("gen", "benchmark", "source_means", [[0.0] * 8] * 3 + [[0.0] * 7]),
+        ("gen", "benchmark", "source_means", functools.reduce(lambda v, _: [v], range(100), 0.0)),
     ])
     def test_wrong_value_type_fails_with_one_line(self, tmp_path, capsys,
                                                   command, section, key, value):

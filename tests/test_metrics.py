@@ -36,6 +36,27 @@ def oracle_kendall_tau(xs, ys) -> float:
     return float(s / denom)
 
 
+def oracle_proxy_a_distance(source_embeddings, target_embeddings) -> float:
+    """The pooled ``vstack``/``hstack`` probe that ``metrics.proxy_a_distance`` replaced."""
+    xs = np.asarray(source_embeddings, dtype=np.float64)
+    xt = np.asarray(target_embeddings, dtype=np.float64)
+    x = np.vstack([xs, xt])
+    y = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
+    rng = np.random.Generator(np.random.PCG64(0))
+    perm = rng.permutation(len(x))
+    half = len(x) // 2
+    train_idx, test_idx = perm[:half], perm[half:]
+    mu = x[train_idx].mean(axis=0)
+    sd = x[train_idx].std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    xn = (x - mu) / sd
+    xn = np.hstack([xn, np.ones((len(xn), 1))])
+    w = metrics._fit_logistic(xn[train_idx], y[train_idx])
+    pred = (xn[test_idx] @ w >= 0.0).astype(np.float64)
+    eps = float(np.mean(pred != y[test_idx]))
+    return float(np.clip(2.0 * (1.0 - eps), 0.0, 2.0))
+
+
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -161,6 +182,51 @@ class TestProxyADistance:
             a = rng.normal(size=(50, 4))
             b = rng.normal(size=(50, 4)) + scale
             assert 0.0 <= metrics.proxy_a_distance(a, b) <= 2.0
+
+
+class TestProxyADistanceAgainstOracle:
+    @staticmethod
+    def domains(seed, ns, nt, d, shift=0.5):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(ns, d)), rng.normal(size=(nt, d)) * 1.5 + shift
+
+    @staticmethod
+    def affine(seed, ns, nt, rank, d):
+        """Embeddings of an affine map from ``rank`` inputs, as pacf's extractor makes them:
+        the standardized columns span only ``rank`` + 1 dimensions."""
+        rng = np.random.default_rng(seed)
+        w, b = rng.normal(size=(rank, d)), rng.normal(size=d)
+        return (rng.normal(size=(ns, rank)) @ w + b,
+                (rng.normal(size=(nt, rank)) * 1.8 + 1.0) @ w + b)
+
+    @pytest.mark.parametrize("ns, nt, d", [
+        (37, 90, 6),    # unequal domain sizes
+        (90, 37, 6),
+        (20, 21, 5),    # odd total
+        (20, 20, 3),    # the 20-row minimum
+        (64, 51, 1),    # one dim
+        (300, 280, 48),
+    ])
+    def test_bitwise_equal_on_gaussians(self, ns, nt, d):
+        xs, xt = self.domains(ns * 1000 + nt, ns, nt, d)
+        assert bits(metrics.proxy_a_distance(xs, xt)) == bits(oracle_proxy_a_distance(xs, xt))
+
+    def test_bitwise_equal_with_constant_columns(self):
+        xs, xt = self.domains(71, 45, 38, 5)
+        xs[:, 1] = xt[:, 1] = 2.5   # sd == 0 on the train half: divided by 1
+        xs[:, 3] = xt[:, 3] = 0.0
+        assert bits(metrics.proxy_a_distance(xs, xt)) == bits(oracle_proxy_a_distance(xs, xt))
+
+    @pytest.mark.parametrize("ns, nt, rank, d", [(200, 200, 4, 32), (150, 173, 1, 9),
+                                                 (400, 333, 8, 128)])
+    def test_bitwise_equal_on_rank_deficient_affine_embeddings(self, ns, nt, rank, d):
+        xs, xt = self.affine(rank * 7 + d, ns, nt, rank, d)
+        assert bits(metrics.proxy_a_distance(xs, xt)) == bits(oracle_proxy_a_distance(xs, xt))
+
+    def test_peak_memory_about_one_input(self, traced_peak):
+        xs, xt = self.domains(72, 2000, 2007, 64)
+        # the pooled probe peaked at 3.1x the input bytes, one design matrix per half at 1.1x
+        assert traced_peak(metrics.proxy_a_distance, xs, xt) < 1.5 * (xs.nbytes + xt.nbytes)
 
 
 class TestRankCoefficients:

@@ -370,3 +370,67 @@ class TestWriteText:
             synthbench.write_text(path, "new contents\n")
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+
+    def test_chunks_failing_partway_leave_previous_file_intact(self, tmp_path):
+        path = tmp_path / "projection.csv"
+        synthbench.write_text(path, "old\n")
+        temporary = tmp_path / "projection.csv.tmp"
+
+        def chunks():
+            yield "x,y,label\n"
+            yield "0.5,-1.25,3\n" * 10_000  # more than one buffer: bytes reach the file
+            assert temporary.stat().st_size > 0
+            raise ValueError("cannot format a cell")
+
+        with pytest.raises(ValueError, match="cannot format a cell"):
+            synthbench.write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["projection.csv"]
+
+
+def oracle_write_csv(path, header, columns) -> None:
+    """The one-string ``write_csv`` that the block-streaming one replaced."""
+    cells = [synthbench.format_column(column) for column in columns]
+    synthbench.write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))])
+                          + "\n")
+
+
+class TestWriteCsvMatchesOracle:
+    BLOCK = synthbench.CSV_BLOCK_ROWS
+
+    @staticmethod
+    def columns(n):
+        """Columns of every kind pacf writes: ints, floats with non-finite cells, a class
+        column ending in ``avg.``, and a list of ints that one float makes a float column."""
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        floats[rng.random(n) < 0.05] = np.nan
+        floats[rng.random(n) < 0.02] = np.inf
+        floats[rng.random(n) < 0.02] = -np.inf
+        mixed = list(range(n))
+        if n:
+            mixed[-1] = 0.5
+        return [rng.integers(-1, 8, size=n), floats, [*range(n - 1), "avg."][:n], mixed,
+                -np.zeros(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_identical_bytes(self, tmp_path, n):
+        header = ["label", "score", "class", "mixed", "zero"]
+        columns = self.columns(n)
+        synthbench.write_csv(tmp_path / "new.csv", header, columns)
+        oracle_write_csv(tmp_path / "old.csv", header, columns)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.count(b"\n") == n + 1
+
+    def test_non_finite_cells_are_empty_and_avg_is_kept(self, tmp_path):
+        path = tmp_path / "table.csv"
+        synthbench.write_csv(path, ["class", "value"],
+                             [[0, 1, 2, "avg."], [np.nan, np.inf, -np.inf, 0.25]])
+        assert path.read_text() == "class,value\n0,\n1,\n2,\navg.,0.25\n"
+
+    def test_save_dump_peak_memory(self, tmp_path, traced_peak):
+        batch = generate(small_spec(dim=32, samples_per_class=2200)).source  # 6,600 rows
+        input_bytes = batch.features.nbytes + batch.labels.nbytes + batch.scores.nbytes
+        # the text of the whole file peaked at 14x the batch, blocks of rows at about 3.5x
+        assert traced_peak(save_dump, batch, tmp_path / "dump.csv") < 6 * input_bytes
