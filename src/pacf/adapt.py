@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, Diverged, check_field_types, entry_reader
+from .errors import DimensionMismatch, Diverged, check_fields, entry_reader, rule
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
@@ -139,48 +139,24 @@ class TrainerConfig:
     disabled switch zeroes the matching loss weight.
     """
 
-    tau: float = 0.05
-    init_threshold: float = 0.8
-    pseudo_threshold: float = 0.8
+    tau: float = rule(0.05, "(0, inf)")
+    init_threshold: float = rule(0.8, "(0, 1]")
+    pseudo_threshold: float = rule(0.8, "(0, inf)")
     weights: LossWeights = field(default_factory=LossWeights)
-    regularizer: str = "jsd"
+    regularizer: str = field(default="jsd", metadata={"choices": REGULARIZERS})
     enable_pce: bool = True
     enable_adversarial: bool = True
-    ema_rate: float = 0.99
-    learning_rate: float = 0.05
-    warmup_steps: int = 500
-    steps: int = 4000
-    batch_size: int = 64
-    feature_dim: int = 128
-    augment_noise: float = 1.0
-    seed: int = 0
+    ema_rate: float = rule(0.99, "[0, 1)")
+    learning_rate: float = rule(0.05, "[0, inf)")
+    warmup_steps: int = rule(500, "[0, inf)")
+    steps: int = rule(4000, "[1, inf)")
+    batch_size: int = rule(64, "[1, inf)")
+    feature_dim: int = rule(128, "[1, inf)")
+    augment_noise: float = rule(1.0, "[0, inf)")
+    seed: int = rule(0, "[0, inf)")
 
     def __post_init__(self):
-        check_field_types(self)
-        if not (np.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if not (0.0 < self.init_threshold <= 1.0):
-            raise ValueError(f"init_threshold must lie in (0, 1], got {self.init_threshold!r}")
-        if not (np.isfinite(self.pseudo_threshold) and self.pseudo_threshold > 0.0):
-            raise ValueError(f"pseudo_threshold must be positive, got {self.pseudo_threshold!r}")
-        if not (0.0 <= self.ema_rate < 1.0):
-            raise ValueError(f"ema_rate must lie in [0, 1), got {self.ema_rate!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.augment_noise) and self.augment_noise >= 0.0):
-            raise ValueError(f"augment_noise must be >= 0, got {self.augment_noise!r}")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"regularizer must be one of {REGULARIZERS}")
+        check_fields(self)
 
     def effective_weights(self) -> LossWeights:
         """Loss weights with the ablation switches applied."""

@@ -61,6 +61,8 @@ def _read_json(path: str):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def load_config(path: str) -> dict:

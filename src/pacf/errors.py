@@ -1,8 +1,11 @@
 """Exception types shared across the package, the mapping of a malformed JSON
-document onto :class:`ParseError`, and the typing rule of config fields."""
+document onto :class:`ParseError`, and the declared rule of each config field."""
 
-from dataclasses import fields
+import operator
+from dataclasses import field, fields
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class PacfError(Exception):
@@ -99,30 +102,63 @@ def _numeric_shape(value, depth: int = 2) -> tuple | None:
     return (len(value), *shapes.pop())
 
 
-# declared type (or its postponed name) of a number field -> the test its value must
-# pass, and the name of what passes in an error
-_NUMBER_FIELDS = {
-    "int": (lambda value: isinstance(value, Integral), "an integer"),
-    "float": (_is_number, "a number"),
-    "float | np.ndarray": (lambda value: _numeric_shape(value) is not None,
-                           "a number, or a (C, dim) numeric array"),
-    "np.ndarray | None": (lambda value: value is None or _numeric_shape(value) is not None,
-                          "null, or a (C, dim) numeric array"),
-}
+# the type of a field's default -> the type its values must have, and its name in an error
+_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
+          type(None): (type(None), "null")}
 
 
-def check_field_types(config) -> None:
-    """Raise TypeError naming the field unless each typed field of the dataclass ``config``
-    holds that kind of value: a switch must be a JSON boolean, an ``int`` field an integer,
-    a ``float`` field a number, a ``float | np.ndarray`` field a number or a rectangular list
-    of numbers or of lists of numbers, and an ``np.ndarray | None`` field that or null; no
-    number may be a boolean. Shapes and ranges are the dataclass's to check."""
+def rule(default, interval: str | None = None, shape: tuple[str, ...] | None = None):
+    """A dataclass field with ``default`` and the rule :func:`check_fields` holds it to.
+
+    A number must lie in ``interval``, written like ``"[0, 1)"`` or ``"(0, inf)"``; an end
+    at ``inf`` is written open, so the comparison itself rejects NaN and the infinities,
+    and an integer is compared exactly. ``shape`` names the fields whose values give the
+    shape of an array the field may hold instead of its default's kind; each entry of the
+    array must be finite."""
+    meta = {"interval": interval, "shape": shape}
+    if interval:
+        low, high = ((int(end) if end.is_integer() else end)
+                     for end in map(float, interval[1:-1].split(",")))
+        above = operator.le if interval[0] == "[" else operator.lt
+        below = operator.le if interval[-1] == "]" else operator.lt
+        meta["contains"] = lambda value: above(low, value) and below(value, high)
+    return field(default=default, metadata=meta)
+
+
+def check_fields(config, range_error=ValueError) -> None:
+    """Hold each field of the dataclass ``config`` to its declared rule (:func:`rule`).
+
+    A value of the wrong kind raises TypeError naming the field: a boolean unless the
+    default is one, or anything else where it is one; a non-integer where the default is
+    an integer, a non-number where it is a float, and anything but None where it is None,
+    except that a field with a ``shape`` also takes a rectangular list of numbers or of
+    lists of numbers. A value of the right kind outside its interval or its ``choices``,
+    an array of the wrong shape, or one with a non-finite entry, raises ``range_error``
+    naming the field. An array is stored as float64."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        declared = getattr(f.type, "__name__", f.type)  # a type, or its postponed name
-        if isinstance(value, bool) != (declared == "bool"):
-            raise TypeError(f"{f.name} must {'not ' * isinstance(value, bool)}be a boolean, "
+        name, value, meta = f.name, getattr(config, f.name), f.metadata
+        if isinstance(value, bool) != isinstance(f.default, bool):
+            raise TypeError(f"{name} must {'not ' * isinstance(value, bool)}be a boolean, "
                             f"got {value!r}")
-        accepted, kind = _NUMBER_FIELDS.get(declared, (lambda value: True, ""))
-        if not accepted(value):
-            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+        kind, kind_name = _KINDS.get(type(f.default), (object, ""))
+        if "choices" in meta and value not in meta["choices"]:
+            raise range_error(f"{name} must be one of {meta['choices']}, got {value!r}")
+        if meta.get("shape") and not isinstance(value, kind):
+            dims = ", ".join(meta["shape"])
+            if _numeric_shape(value) is None:
+                raise TypeError(f"{name} must be {kind_name} or a ({dims}) array of numbers, "
+                                f"got {value!r}")
+            array = np.asarray(value, dtype=np.float64)
+            expected = tuple(getattr(config, dim) for dim in meta["shape"])
+            if array.shape != expected:
+                raise range_error(f"{name} must have shape ({dims}) = {expected}, "
+                                  f"got {array.shape}")
+            bad = np.argwhere(~np.isfinite(array))
+            if len(bad):
+                raise range_error(f"{name} must have finite entries, got "
+                                  f"{array[tuple(bad[0])]} at {tuple(bad[0].tolist())}")
+            object.__setattr__(config, name, array)
+        elif not isinstance(value, kind):
+            raise TypeError(f"{name} must be {kind_name}, got {value!r}")
+        elif "contains" in meta and not meta["contains"](value):
+            raise range_error(f"{name} must lie in {meta['interval']}, got {value!r}")

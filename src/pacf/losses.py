@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import mathcore
-from .errors import DimensionMismatch, ZeroVector, check_field_types
+from .errors import DimensionMismatch, ZeroVector, check_fields, rule
 from .mathcore import CLAMP_EPS, NORM_EPS, clamped_log
 from .prototypes import PrototypeSet
 
@@ -57,16 +57,13 @@ class LossValue:
 class LossWeights:
     """Non-negative weights for the composed objective."""
 
-    lambda_unsup: float = 1.0
-    lambda_dis: float = 0.1
-    lambda_pce: float = 1.0
-    lambda_mut: float = 1.0
+    lambda_unsup: float = rule(1.0, "[0, inf)")
+    lambda_dis: float = rule(0.1, "[0, inf)")
+    lambda_pce: float = rule(1.0, "[0, inf)")
+    lambda_mut: float = rule(1.0, "[0, inf)")
 
     def __post_init__(self):
-        check_field_types(self)  # raw fields throughout: as_dict() casts to float
-        for name, value in vars(self).items():
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        check_fields(self)  # the raw fields: as_dict() casts to float
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError,
-                     check_field_types)
+                     check_fields, rule)
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
@@ -65,56 +65,22 @@ class DomainShiftSpec:
 
     ``source_means`` may be omitted; the generator then draws them from the
     seed as N(0, mean_scale^2) vectors. ``target_mean_shift`` is either an
-    explicit (class_count, dim) array or a scalar magnitude applied along a
-    seed-determined random unit direction per class.
+    explicit (class_count, dim) array of finite offsets or a scalar magnitude
+    applied along a seed-determined random unit direction per class.
     """
 
-    class_count: int = 8
-    dim: int = 32
-    samples_per_class: int = 200
-    source_std: float = 1.0
-    target_mean_shift: float | np.ndarray = 1.5
-    target_std_multiplier: float = 1.8
-    mean_scale: float = 1.0
-    source_means: np.ndarray | None = None
-    seed: int = 100
+    class_count: int = rule(8, "[1, inf)")
+    dim: int = rule(32, "[2, inf)")
+    samples_per_class: int = rule(200, "[1, inf)")
+    source_std: float = rule(1.0, "(0, inf)")
+    target_mean_shift: float | np.ndarray = rule(1.5, "[0, inf)", ("class_count", "dim"))
+    target_std_multiplier: float = rule(1.8, "[1, inf)")
+    mean_scale: float = rule(1.0, "[0, inf)")
+    source_means: np.ndarray | None = rule(None, shape=("class_count", "dim"))
+    seed: int = rule(100, "[0, inf)")
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.class_count < 1:
-            raise InvalidSpec(f"class_count must be >= 1, got {self.class_count}")
-        if self.dim < 2:
-            raise InvalidSpec(f"dim must be >= 2, got {self.dim}")
-        if self.samples_per_class < 1:
-            raise InvalidSpec("samples_per_class must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        if not (self.source_std > 0.0 and np.isfinite(self.source_std)):
-            raise InvalidSpec(f"source_std must be positive, got {self.source_std!r}")
-        if not (self.target_std_multiplier >= 1.0 and np.isfinite(self.target_std_multiplier)):
-            raise InvalidSpec(
-                f"target_std_multiplier must be >= 1, got {self.target_std_multiplier!r}")
-        if not (self.mean_scale >= 0.0 and np.isfinite(self.mean_scale)):
-            raise InvalidSpec(f"mean_scale must be >= 0, got {self.mean_scale!r}")
-        if self.source_means is not None:
-            means = np.asarray(self.source_means, dtype=np.float64)
-            if means.shape != (self.class_count, self.dim):
-                raise InvalidSpec(
-                    f"source_means must have shape ({self.class_count}, {self.dim}), "
-                    f"got {means.shape}")
-            object.__setattr__(self, "source_means", means)
-        shift = self.target_mean_shift
-        if np.ndim(shift) == 0:
-            if not (float(shift) >= 0.0 and np.isfinite(float(shift))):
-                raise InvalidSpec(f"scalar target_mean_shift must be >= 0, got {shift!r}")
-            object.__setattr__(self, "target_mean_shift", float(shift))
-        else:
-            shift = np.asarray(shift, dtype=np.float64)
-            if shift.shape != (self.class_count, self.dim):
-                raise InvalidSpec(
-                    f"target_mean_shift array must have shape ({self.class_count}, "
-                    f"{self.dim}), got {shift.shape}")
-            object.__setattr__(self, "target_mean_shift", shift)
+        check_fields(self, InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -138,12 +104,14 @@ class DatasetPair:
         return self.source, self.target_features
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is checked for below
 def generate(spec: DomainShiftSpec) -> DatasetPair:
     """Sample a source/target pair; deterministic for a given spec.
 
     Draw order from the seed: source means (when not explicit), shift
     directions (when the shift is scalar), then per-class source samples,
-    then per-class target samples.
+    then per-class target samples. A spec whose features overflow float64
+    raises :class:`InvalidSpec`.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     c, d, n = spec.class_count, spec.dim, spec.samples_per_class
@@ -167,6 +135,9 @@ def generate(spec: DomainShiftSpec) -> DatasetPair:
     tgt_feats = np.vstack([
         means[k] + shifts[k] + target_std * rng.standard_normal((n, d)) for k in range(c)
     ])
+    if not (np.isfinite(src_feats).all() and np.isfinite(tgt_feats).all()):
+        raise InvalidSpec("sampled features overflow float64; lower source_std, "
+                          "target_std_multiplier, mean_scale or target_mean_shift")
     tgt_labels = np.repeat(np.arange(c), n)
 
     source = LabeledBatch(src_feats, src_labels, np.full(len(src_feats), float(MISSING)))

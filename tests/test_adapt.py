@@ -634,3 +634,46 @@ class TestCheckpointRoundTrip:
                                   getattr(result.state.student, key))
         assert state.tgt_protos.initialized_classes() == \
             result.state.tgt_protos.initialized_classes()
+
+
+class TestTrainerConfigRanges:
+    """Each ranged field's boundary values, the non-finite numbers and the error type."""
+
+    @pytest.mark.parametrize("name, value, accepted", [
+        ("tau", 5e-324, True), ("tau", 0.0, False),
+        ("init_threshold", 1.0, True), ("init_threshold", 1.0 + 2 ** -52, False),
+        ("init_threshold", 5e-324, True), ("init_threshold", 0.0, False),
+        ("pseudo_threshold", 2.0, True), ("pseudo_threshold", 0.0, False),
+        ("ema_rate", 0.0, True), ("ema_rate", 1.0 - 2 ** -53, True),
+        ("ema_rate", 1.0, False), ("ema_rate", -5e-324, False),
+        ("learning_rate", 0.0, True), ("learning_rate", -5e-324, False),
+        ("augment_noise", 0.0, True), ("augment_noise", -5e-324, False),
+        ("steps", 1, True), ("steps", 0, False),
+        ("warmup_steps", 0, True), ("warmup_steps", -1, False),
+        ("batch_size", 1, True), ("batch_size", 0, False),
+        ("feature_dim", 1, True), ("feature_dim", 0, False),
+        ("seed", 0, True), ("seed", -1, False),
+        ("regularizer", "none", True), ("regularizer", "JSD", False),
+    ])
+    def test_boundary(self, name, value, accepted):
+        if accepted:
+            assert getattr(TrainerConfig(**{name: value}), name) == value
+        else:
+            with pytest.raises(ValueError, match=name) as excinfo:
+                TrainerConfig(**{name: value})
+            assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("name", ["tau", "init_threshold", "pseudo_threshold", "ema_rate",
+                                      "learning_rate", "augment_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name) as excinfo:
+            TrainerConfig(**{name: value})
+        assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("name", ["steps", "warmup_steps", "batch_size", "feature_dim",
+                                      "seed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_count_is_wrong_kind(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            TrainerConfig(**{name: value})

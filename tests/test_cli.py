@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import shutil
 from dataclasses import fields
@@ -606,6 +607,42 @@ class TestConfigParsing:
         assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"class_count": 2, "dim": 2, "source_means": [[math.nan, 0.0], [0.0, 0.0]]},
+         "source_means"),
+        ({"class_count": 2, "dim": 2, "target_mean_shift": [[math.inf, 0.0], [0.0, 0.0]]},
+         "target_mean_shift"),
+        ({"source_std": 1e308}, "source_std"),
+        ({"target_std_multiplier": 1e308}, "target_std_multiplier"),
+    ])
+    def test_invalid_spec_fails_with_one_line_and_no_output(self, tmp_path, capsys,
+                                                            overrides, key):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["benchmark"].update(overrides)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["gen", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidSpec: ") and key in err
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command, flag", [("gen", "--config"), ("eval", "--checkpoint")])
+    def test_deeply_nested_json_fails_with_one_line(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "deep.json"
+        path.write_text('{"benchmark": {"source_means": ' + "[" * 1000 + "1" + "]" * 1000 + "}}")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, flag, str(path), "--out", str(out)]
+        if command == "eval":
+            argv += ["--data", str(tmp_path / "unused")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and str(path) in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, error", [("gen", "InvalidSpec"), ("train", "ConfigError")])
     def test_negative_seed_fails_with_one_line(self, tmp_path, config_path, capsys,

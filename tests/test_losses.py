@@ -355,3 +355,28 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_dis=-0.1)
+
+
+class TestLossWeightRanges:
+    """Each weight's boundary values, the non-finite numbers and the error type."""
+
+    NAMES = ["lambda_unsup", "lambda_dis", "lambda_pce", "lambda_mut"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value, accepted", [
+        (0.0, True), (-0.0, True), (0, True), (1e308, True), (-5e-324, False), (-1, False),
+    ])
+    def test_boundary(self, name, value, accepted):
+        if accepted:
+            assert getattr(LossWeights(**{name: value}), name) == value
+        else:
+            with pytest.raises(ValueError, match=name) as excinfo:
+                LossWeights(**{name: value})
+            assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name) as excinfo:
+            LossWeights(**{name: value})
+        assert excinfo.type is ValueError

@@ -103,6 +103,67 @@ class TestGenerate:
         assert target.shape == pair.target_features.shape
 
 
+
+class TestSpecRanges:
+    """Each ranged field's boundary values, the non-finite numbers and the error type."""
+
+    @pytest.mark.parametrize("name, value, accepted", [
+        ("class_count", 1, True), ("class_count", 0, False),
+        ("dim", 2, True), ("dim", 1, False),
+        ("samples_per_class", 1, True), ("samples_per_class", 0, False),
+        ("seed", 0, True), ("seed", -1, False),
+        ("source_std", 5e-324, True), ("source_std", 0.0, False),
+        ("target_std_multiplier", 1.0, True), ("target_std_multiplier", 1.0 - 2 ** -53, False),
+        ("mean_scale", 0.0, True), ("mean_scale", -5e-324, False),
+        ("target_mean_shift", 0.0, True), ("target_mean_shift", -5e-324, False),
+    ])
+    def test_boundary(self, name, value, accepted):
+        if accepted:
+            assert getattr(small_spec(**{name: value}), name) == value
+        else:
+            with pytest.raises(InvalidSpec, match=name) as excinfo:
+                small_spec(**{name: value})
+            assert excinfo.type is InvalidSpec
+
+    @pytest.mark.parametrize("name", ["source_std", "target_std_multiplier", "mean_scale",
+                                      "target_mean_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InvalidSpec, match=name) as excinfo:
+            small_spec(**{name: value})
+        assert excinfo.type is InvalidSpec
+
+    @pytest.mark.parametrize("name", ["source_means", "target_mean_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_array_entry_rejected(self, name, value):
+        array = np.zeros((3, 4))
+        array[2, 1] = value
+        with pytest.raises(InvalidSpec, match=name) as excinfo:
+            small_spec(**{name: array.tolist()})
+        assert excinfo.type is InvalidSpec
+
+    def test_array_entries_stored_as_float64(self):
+        shift = [[-1, 0, 2, 0]] * 3
+        spec = small_spec(target_mean_shift=shift, source_means=np.ones((3, 4), dtype=int))
+        for name in ("target_mean_shift", "source_means"):
+            assert getattr(spec, name).dtype == np.float64
+        np.testing.assert_array_equal(spec.target_mean_shift, shift)
+
+    @pytest.mark.parametrize("overrides", [
+        {"source_std": 1e308}, {"target_std_multiplier": 1e308},
+        {"source_std": 1e200, "target_std_multiplier": 1e200},
+    ])
+    def test_overflowing_spec_rejected_without_warning(self, overrides):
+        with pytest.raises(InvalidSpec, match="overflow"):
+            generate(small_spec(**overrides))
+
+    @pytest.mark.parametrize("name", ["class_count", "dim", "samples_per_class", "seed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_count_is_wrong_kind(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            small_spec(**{name: value})
+
+
 class TestDumpRoundTrip:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(40)
