@@ -136,7 +136,8 @@ class TrainerConfig:
     (filtering keeps an instance only when its max probability reaches the
     threshold, which no probability above 1 can). ``enable_pce``,
     ``enable_adversarial`` and ``regularizer`` are the ablation switches; a
-    disabled switch zeroes the matching loss weight.
+    disabled switch zeroes the matching loss weight. The count bounds keep
+    every array under numpy's size limit.
     """
 
     tau: float = rule(0.05, "(0, inf)")
@@ -150,8 +151,8 @@ class TrainerConfig:
     learning_rate: float = rule(0.05, "[0, inf)")
     warmup_steps: int = rule(500, "[0, inf)")
     steps: int = rule(4000, "[1, inf)")
-    batch_size: int = rule(64, "[1, inf)")
-    feature_dim: int = rule(128, "[1, inf)")
+    batch_size: int = rule(64, "[1, 1e6]")
+    feature_dim: int = rule(128, "[1, 1e5]")
     augment_noise: float = rule(1.0, "[0, inf)")
     seed: int = rule(0, "[0, inf)")
 

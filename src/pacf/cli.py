@@ -43,6 +43,10 @@ _SUMMARY_METRICS = {
     "target_variance_avg": "target_variance_avg", "mean_shift_avg": "mean_shift_avg",
     "tp_ratio_avg": "tp_ratio_avg", "pseudo_count": "pseudo_count",
 }
+# <stem>_comparison.csv: the MetricsReport per-class table it compares, its column prefix
+_COMPARISONS = {"variance_source": ("source_variance", "variance"),
+                "variance_target": ("target_variance", "variance"),
+                "mean_shift": ("mean_shift", "shift"), "tp_ratio": ("tp_ratio", "tp")}
 
 _ABLATION_KEYS = {"enable_pce", "regularizer", "enable_adversarial"}
 _BENCH_KEYS = {f.name for f in fields(DomainShiftSpec)}
@@ -119,41 +123,38 @@ def effective_config_doc(doc: dict, seed: int | None, command: str) -> dict:
     return effective
 
 
-def _require_out_dir(path: str) -> str:
-    if not os.path.isdir(path):
-        raise IoError(f"output directory does not exist: {path}")
-    return path
+class OutDir:
+    """An existing output directory. ``out(name)`` is the path of artifact ``name``, and
+    records the name for the manifest that :func:`main` writes last."""
+
+    def __init__(self, path: str):
+        if not os.path.isdir(path):
+            raise IoError(f"output directory does not exist: {path}")
+        self.path, self.files = path, set()
+
+    def __call__(self, name: str) -> str:
+        self.files.add(name)
+        return os.path.join(self.path, name)
 
 
 def _write_json(path: str, doc) -> None:
     write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(out: str, command: str, cfg_hash: str, files: list[str]) -> None:
-    _write_json(os.path.join(out, "manifest.json"), {
-        "command": command,
-        "config_hash": cfg_hash,
-        "files": sorted(files),
-    })
+# --- commands: each writes its artifacts through ``out`` and returns its config hash ---
 
-
-# --- commands ---------------------------------------------------------------
-
-def cmd_gen(args) -> int:
+def cmd_gen(args, out: OutDir) -> str:
     doc = load_config(args.config)
-    out = _require_out_dir(args.out)
     effective = effective_config_doc(doc, args.seed, "gen")
     spec = spec_from_config(effective)
     pair = generate(spec)
     n_t = len(pair.target_features)
-    save_dump(pair.source, os.path.join(out, SOURCE_FILE))
+    save_dump(pair.source, out(SOURCE_FILE))
     save_dump(LabeledBatch(pair.target_features, np.full(n_t, -1, dtype=np.int64),
-                           np.full(n_t, -1.0)), os.path.join(out, TARGET_FILE))
+                           np.full(n_t, -1.0)), out(TARGET_FILE))
     save_dump(LabeledBatch(pair.target_features, pair.target_hidden_labels,
-                           np.full(n_t, -1.0)), os.path.join(out, HIDDEN_FILE))
-    _write_manifest(out, "gen", config_hash(effective),
-                    [SOURCE_FILE, TARGET_FILE, HIDDEN_FILE])
-    return 0
+                           np.full(n_t, -1.0)), out(HIDDEN_FILE))
+    return config_hash(effective)
 
 
 def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray | None]:
@@ -182,28 +183,25 @@ def _class_columns(tables: list[dict[int, float]]) -> list[list]:
                                    + [metrics.class_average(table)] for table in tables]
 
 
-def _write_eval_artifacts(out: str, evaluation: EvalResult, cfg_hash: str) -> list[str]:
+def _write_eval_artifacts(out: OutDir, evaluation: EvalResult, cfg_hash: str) -> None:
     report = evaluation.report
     doc = report.to_json_dict()
     doc["config_hash"] = cfg_hash
-    _write_json(os.path.join(out, "metrics.json"), doc)
-    write_csv(os.path.join(out, "metrics_variance.csv"), ["class", "source", "target"],
+    _write_json(out("metrics.json"), doc)
+    write_csv(out("metrics_variance.csv"), ["class", "source", "target"],
               _class_columns([report.source_variance, report.target_variance]))
-    write_csv(os.path.join(out, "metrics_mean_shift.csv"), ["class", "mean_shift"],
+    write_csv(out("metrics_mean_shift.csv"), ["class", "mean_shift"],
               _class_columns([report.mean_shift]))
-    write_csv(os.path.join(out, "metrics_tp_ratio.csv"), ["class", "tp_ratio"],
+    write_csv(out("metrics_tp_ratio.csv"), ["class", "tp_ratio"],
               _class_columns([report.tp_ratio]))
-    write_csv(os.path.join(out, "rank_scatter.csv"), _SCATTER_HEADER,
+    write_csv(out("rank_scatter.csv"), _SCATTER_HEADER,
               [evaluation.linear_scores, evaluation.prototype_cosines])
-    write_csv(os.path.join(out, "projection.csv"), _PROJECTION_HEADER,
+    write_csv(out("projection.csv"), _PROJECTION_HEADER,
               [*evaluation.projection.T, evaluation.projection_labels])
-    return ["metrics.json", "metrics_variance.csv", "metrics_mean_shift.csv",
-            "metrics_tp_ratio.csv", "rank_scatter.csv", "projection.csv"]
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out: OutDir) -> str:
     doc = load_config(args.config)
-    out = _require_out_dir(args.out)
     effective = effective_config_doc(doc, args.seed, "train")
     config = trainer_from_config(effective)
     cfg_hash = config_hash(effective)
@@ -214,28 +212,23 @@ def cmd_train(args) -> int:
         result = adapt.run_experiment(source, target, config)
     evaluation = evaluate_state(result.state, config, source, target, hidden)
 
-    _write_json(os.path.join(out, "checkpoint.json"),
+    _write_json(out("checkpoint.json"),
                 adapt.checkpoint_to_json_dict(result.state, config, cfg_hash))
     records = result.warmup_records + result.records
     names = [f.name for f in fields(adapt.StepRecord)]
-    write_csv(os.path.join(out, "losses.csv"), names,
+    write_csv(out("losses.csv"), names,
               [[getattr(record, name) for record in records] for name in names])
-    _write_json(os.path.join(out, "config.json"), effective)
-    files = _write_eval_artifacts(out, evaluation, cfg_hash)
-    _write_manifest(out, "train", cfg_hash,
-                    files + ["checkpoint.json", "losses.csv", "config.json"])
-    return 0
+    _write_json(out("config.json"), effective)
+    _write_eval_artifacts(out, evaluation, cfg_hash)
+    return cfg_hash
 
 
-def cmd_eval(args) -> int:
-    out = _require_out_dir(args.out)
+def cmd_eval(args, out: OutDir) -> str:
     state, config, cfg_hash = adapt.state_from_checkpoint(_read_json(args.checkpoint),
                                                           args.checkpoint)
     source, target, hidden = _load_data_dir(args.data)
-    evaluation = evaluate_state(state, config, source, target, hidden)
-    files = _write_eval_artifacts(out, evaluation, cfg_hash)
-    _write_manifest(out, "eval", cfg_hash, files)
-    return 0
+    _write_eval_artifacts(out, evaluate_state(state, config, source, target, hidden), cfg_hash)
+    return cfg_hash
 
 
 def _require_artifact(run_dir: str, name: str) -> str:
@@ -254,17 +247,7 @@ def _read_projection_row(cells: list[str]) -> tuple[tuple[float, float], int]:
     return (float(cells[0]), float(cells[1])), parse_int64(cells[2])
 
 
-def _write_comparison(path: str, names: list[str], tables: list[dict[int, float]],
-                      value_name: str) -> None:
-    columns = _class_columns(tables)
-    values = np.array(columns[1:], dtype=np.float64)
-    write_csv(path, ["class", *(f"{value_name}_{n}" for n in names),
-                     *(f"delta_{n}" for n in names[1:])],
-              [*columns, *(values[1:] - values[0])])
-
-
-def cmd_report(args) -> int:
-    out = _require_out_dir(args.out)
+def cmd_report(args, out: OutDir) -> str:
     names, reports, scatters, projections = [], [], [], []
     for run_dir in args.run_dirs:
         # no comma or line break in a CSV cell; a repeated name takes the first free suffix
@@ -285,15 +268,12 @@ def cmd_report(args) -> int:
         points, labels = zip(*rows)
         projections.append((np.array(points), np.array(labels, dtype=np.int64)))
 
-    _write_comparison(os.path.join(out, "variance_source_comparison.csv"), names,
-                      [r.source_variance for r in reports], "variance")
-    _write_comparison(os.path.join(out, "variance_target_comparison.csv"), names,
-                      [r.target_variance for r in reports], "variance")
-    _write_comparison(os.path.join(out, "mean_shift_comparison.csv"), names,
-                      [r.mean_shift for r in reports], "shift")
-    _write_comparison(os.path.join(out, "tp_ratio_comparison.csv"), names,
-                      [r.tp_ratio for r in reports], "tp")
-    write_csv(os.path.join(out, "summary_comparison.csv"), ["metric", *names],
+    for stem, (attr, prefix) in _COMPARISONS.items():
+        columns = _class_columns([getattr(r, attr) for r in reports])
+        values = np.array(columns[1:], dtype=np.float64)
+        header = ["class", *(f"{prefix}_{n}" for n in names), *(f"delta_{n}" for n in names[1:])]
+        write_csv(out(f"{stem}_comparison.csv"), header, [*columns, *(values[1:] - values[0])])
+    write_csv(out("summary_comparison.csv"), ["metric", *names],
               [list(_SUMMARY_METRICS)] + [[float(getattr(r, attr)) for attr in
                                           _SUMMARY_METRICS.values()] for r in reports])
 
@@ -303,19 +283,15 @@ def cmd_report(args) -> int:
         rank_panels.append(Panel(title=name, points=scatter,
                                  annotations=(f"rho={rho}", f"tau={tau}"),
                                  x_label="linear score", y_label="prototype cosine"))
-    write_text(os.path.join(out, "rank_correlation.svg"), scatter_svg(rank_panels))
+    write_text(out("rank_correlation.svg"), scatter_svg(rank_panels))
 
     proj_panels = [
         Panel(title=name, points=pts, classes=labels,
               x_label="pc1", y_label="pc2")
         for name, (pts, labels) in zip(names, projections)
     ]
-    write_text(os.path.join(out, "projection.svg"), scatter_svg(proj_panels))
-    _write_manifest(out, "report", "",
-                    ["variance_source_comparison.csv", "variance_target_comparison.csv",
-                     "mean_shift_comparison.csv", "tp_ratio_comparison.csv",
-                     "summary_comparison.csv", "rank_correlation.svg", "projection.svg"])
-    return 0
+    write_text(out("projection.svg"), scatter_svg(proj_panels))
+    return ""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,10 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PacfError as exc:
+        out = OutDir(args.out)
+        cfg_hash = args.func(args, out)
+        _write_json(os.path.join(out.path, "manifest.json"), {
+            "command": args.command, "config_hash": cfg_hash, "files": sorted(out.files)})
+        return 0
+    except (PacfError, MemoryError) as exc:
+        # numpy's allocation failure is a MemoryError subclass with a private name
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         message = str(exc).replace("\n", " ")
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"error: {kind}: {message}", file=sys.stderr)
         return 1
 
 

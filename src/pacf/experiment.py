@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adapt, losses, metrics
+from . import adapt, losses, mathcore, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
+from .errors import Diverged
 from .synthbench import DatasetPair, LabeledBatch
 
 def baseline_config(config: TrainerConfig) -> TrainerConfig:
@@ -55,10 +56,14 @@ def rank_consistency_scores(state: AdaptationState, embeddings: np.ndarray,
     return linear_scores, cosines.max(axis=1)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` with every row scaled to unit norm, in place."""
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x
+def _student_norms(embeddings: np.ndarray, domain: str) -> np.ndarray:
+    """Row norms of the student's ``domain`` embeddings; each must be finite and non-zero."""
+    norms = mathcore.nonzero_norms(
+        embeddings, f"the student maps a {domain} row to a zero embedding")
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        raise Diverged(f"the student's {domain} embedding of data row {bad[0] + 1} is not finite")
+    return norms
 
 
 def evaluate_state(state: AdaptationState, config: TrainerConfig, source: LabeledBatch,
@@ -72,8 +77,12 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     leaves the label-free diagnostics only.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
-    src_emb, _ = adapt.forward(state.student, source.features)
-    tgt_emb, tgt_probs = adapt.forward(state.student, target_features)
+    # a degenerate student ends in one error line below, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        src_emb, _ = adapt.forward(state.student, source.features)
+        tgt_emb, tgt_probs = adapt.forward(state.student, target_features)
+        src_norms = _student_norms(src_emb, "source")
+        tgt_norms = _student_norms(tgt_emb, "target")
     # the A-distance probes the embeddings the discriminator actually sees; it
     # runs while they are the only full-size arrays alive
     proxy = metrics.proxy_a_distance(src_emb, tgt_emb)
@@ -81,9 +90,9 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     # both coefficients are nan when the target prototypes are missing (nan cosines)
     linear_scores, proto_cos = rank_consistency_scores(state, tgt_emb, tgt_probs)
     pseudo = generate_pseudo_labels(state.teacher, target_features, config.pseudo_threshold)
-    # nothing reads the raw embeddings after this
-    src_unit = _unit_rows(src_emb)
-    tgt_unit = _unit_rows(tgt_emb)
+    # nothing reads the raw embeddings after this: unit rows, in place
+    src_unit = np.divide(src_emb, src_norms[:, None], out=src_emb)
+    tgt_unit = np.divide(tgt_emb, tgt_norms[:, None], out=tgt_emb)
 
     hidden = np.full(len(tgt_unit), -1, dtype=np.int64)
     if target_hidden_labels is not None:

@@ -40,8 +40,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import mathcore
-from .errors import DimensionMismatch, ZeroVector, check_fields, rule
-from .mathcore import CLAMP_EPS, NORM_EPS, clamped_log
+from .errors import DimensionMismatch, check_fields, rule
+from .mathcore import CLAMP_EPS, clamped_log, nonzero_norms
 from .prototypes import PrototypeSet
 
 
@@ -128,9 +128,7 @@ def prototype_geometry(features: np.ndarray, matrix: np.ndarray
     if features.shape[1] != matrix.shape[1]:
         raise DimensionMismatch(
             f"feature dim {features.shape[1]} does not match prototype dim {matrix.shape[1]}")
-    norms = np.linalg.norm(features, axis=1)
-    if np.any(norms <= NORM_EPS):
-        raise ZeroVector("cosine against a prototype is undefined for a zero feature")
+    norms = nonzero_norms(features, "cosine against a prototype is undefined for a zero feature")
     return norms, (features / norms[:, None]) @ matrix.T
 
 

@@ -47,6 +47,14 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
+def nonzero_norms(rows: np.ndarray, message: str) -> np.ndarray:
+    """Row norms of ``rows``; :class:`ZeroVector` with ``message`` if one is at most NORM_EPS."""
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms <= NORM_EPS):
+        raise ZeroVector(message)
+    return norms
+
+
 def cosine_similarity(a, b) -> float:
     a = as_vector(a)
     b = as_vector(b)

@@ -67,11 +67,12 @@ class DomainShiftSpec:
     seed as N(0, mean_scale^2) vectors. ``target_mean_shift`` is either an
     explicit (class_count, dim) array of finite offsets or a scalar magnitude
     applied along a seed-determined random unit direction per class.
+    The count bounds keep every array under numpy's size limit.
     """
 
-    class_count: int = rule(8, "[1, inf)")
-    dim: int = rule(32, "[2, inf)")
-    samples_per_class: int = rule(200, "[1, inf)")
+    class_count: int = rule(8, "[1, 1e5]")
+    dim: int = rule(32, "[2, 1e5]")
+    samples_per_class: int = rule(200, "[1, 1e7]")
     source_std: float = rule(1.0, "(0, inf)")
     target_mean_shift: float | np.ndarray = rule(1.5, "[0, inf)", ("class_count", "dim"))
     target_std_multiplier: float = rule(1.8, "[1, inf)")

@@ -654,6 +654,9 @@ class TestTrainerConfigRanges:
         ("feature_dim", 1, True), ("feature_dim", 0, False),
         ("seed", 0, True), ("seed", -1, False),
         ("regularizer", "none", True), ("regularizer", "JSD", False),
+        ("batch_size", 10 ** 6, True), ("batch_size", 10 ** 6 + 1, False),
+        ("feature_dim", 10 ** 5, True), ("feature_dim", 10 ** 5 + 1, False),
+        ("feature_dim", 10 ** 20, False),
     ])
     def test_boundary(self, name, value, accepted):
         if accepted:

@@ -427,6 +427,26 @@ class TestEval:
         assert err.startswith("error: ParseError: ")
         assert path in err and repr(key) in err
 
+    @pytest.mark.filterwarnings("error")  # nothing but the one error line
+    @pytest.mark.parametrize("weight, error, message", [
+        (0.0, "ZeroVector", "source row to a zero embedding"),
+        (1e300, "Diverged", "source embedding of data row 1 is not finite"),
+    ])
+    def test_degenerate_student_fails_with_one_line(self, trained_run, tmp_path, capsys,
+                                                    weight, error, message):
+        data, run_dir = trained_run
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        student = doc["student"]
+        student["extractor_w"] = [[weight] * len(row) for row in student["extractor_w"]]
+        student["extractor_b"] = [0.0] * len(student["extractor_b"])
+        doc["src_prototypes"] = doc["tgt_prototypes"] = None
+        code, _ = self.eval_checkpoint(data, tmp_path, doc)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {error}: ") and message in err
+        assert os.listdir(tmp_path / "out") == []
+
 
 class TestReport:
     def test_report_artifacts(self, trained_run, tmp_path):
@@ -550,6 +570,48 @@ class TestReport:
         assert read_bytes_map(out1) == read_bytes_map(out2)
 
 
+class TestManifest:
+    """``manifest.json`` lists exactly the files beside it and the hash the command used."""
+
+    def assert_manifest(self, out, command, cfg_hash):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == sorted(set(os.listdir(out)) - {"manifest.json"})
+        assert manifest["command"] == command
+        assert manifest["config_hash"] == cfg_hash
+
+    def test_gen(self, tmp_path, config_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        assert run(["gen", "--config", config_path, "--out", str(out), "--seed", "5"]) == 0
+        doc = cli.effective_config_doc(SMALL_CONFIG, 5, "gen")
+        self.assert_manifest(out, "gen", cli.config_hash(doc))
+
+    def test_train(self, trained_run):
+        _, out = trained_run
+        cfg_hash = cli.config_hash(cli.effective_config_doc(SMALL_CONFIG, None, "train"))
+        assert json.loads((out / "checkpoint.json").read_text())["config_hash"] == cfg_hash
+        self.assert_manifest(out, "train", cfg_hash)
+
+    def test_eval(self, trained_run, tmp_path):
+        data, run_dir = trained_run
+        checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
+        checkpoint["config_hash"] = "hash-of-another-config"
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(checkpoint))
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(path), "--data", str(data),
+                    "--out", str(out)]) == 0
+        self.assert_manifest(out, "eval", "hash-of-another-config")
+
+    def test_report(self, trained_run, tmp_path):
+        _, run_dir = trained_run
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), "--out", str(out)]) == 0
+        self.assert_manifest(out, "report", "")
+
+
 class TestConfigHash:
     def test_hash_is_canonical(self):
         a = {"trainer": {"seed": 1}, "benchmark": {}}
@@ -629,6 +691,57 @@ class TestConfigParsing:
         assert err.startswith("error: InvalidSpec: ") and key in err
         assert err.count("\n") == 1
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command, section, key, error", [
+        ("gen", "benchmark", "samples_per_class", "InvalidSpec"),
+        ("train", "trainer", "feature_dim", "ConfigError"),
+        ("train", "trainer", "batch_size", "ConfigError"),
+    ])
+    def test_count_past_its_bound_fails_with_one_line(self, tmp_path, capsys,
+                                                      command, section, key, error):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc[section][key] = 10 ** 20
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "unused")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and key in err and "must lie in [1, 1e" in err
+        assert err.count("\n") == 1
+        assert os.listdir(out) == []
+
+    def test_memory_error_fails_with_one_line(self, tmp_path, config_path, capsys,
+                                              monkeypatch):
+        class _ArrayMemoryError(MemoryError):  # the name of numpy's subclass
+            pass
+
+        def generate(spec):
+            raise _ArrayMemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["gen", "--config", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError: Unable to allocate 8.00 TiB for an array\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_missing_out_dir_is_reported_before_a_bad_config(self, tmp_path, capsys,
+                                                             command):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "nope")]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "unused")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoError: output directory does not exist: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, flag", [("gen", "--config"), ("eval", "--checkpoint")])
     def test_deeply_nested_json_fails_with_one_line(self, tmp_path, capsys, command, flag):

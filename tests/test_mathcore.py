@@ -34,6 +34,18 @@ class TestL2Normalize:
         assert mathcore.cosine_similarity(u, v) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestNonzeroNorms:
+    def test_norms(self):
+        rows = np.array([[3.0, 4.0], [0.0, 1e-6]])
+        np.testing.assert_array_equal(mathcore.nonzero_norms(rows, "unused"),
+                                      np.linalg.norm(rows, axis=1))
+
+    def test_zero_row_rejected_with_message(self):
+        rows = np.array([[3.0, 4.0], [1e-13, 0.0]])
+        with pytest.raises(ZeroVector, match="^a zero row$"):
+            mathcore.nonzero_norms(rows, "a zero row")
+
+
 class TestCosineSimilarity:
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 2.0])

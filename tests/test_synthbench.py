@@ -116,6 +116,11 @@ class TestSpecRanges:
         ("target_std_multiplier", 1.0, True), ("target_std_multiplier", 1.0 - 2 ** -53, False),
         ("mean_scale", 0.0, True), ("mean_scale", -5e-324, False),
         ("target_mean_shift", 0.0, True), ("target_mean_shift", -5e-324, False),
+        # the counts' upper ends; a spec only checks its fields, so nothing is allocated
+        ("class_count", 10 ** 5, True), ("class_count", 10 ** 5 + 1, False),
+        ("dim", 10 ** 5, True), ("dim", 10 ** 5 + 1, False),
+        ("samples_per_class", 10 ** 7, True), ("samples_per_class", 10 ** 7 + 1, False),
+        ("samples_per_class", 10 ** 20, False),
     ])
     def test_boundary(self, name, value, accepted):
         if accepted:
