@@ -36,13 +36,6 @@ TARGET_FILE = "target.csv"
 HIDDEN_FILE = "target_hidden.csv"
 _SCATTER_HEADER = ["linear_score", "prototype_cosine"]
 _PROJECTION_HEADER = ["x", "y", "label"]
-# summary_comparison.csv rows: metric name -> MetricsReport attribute
-_SUMMARY_METRICS = {
-    "proxy_a_distance": "proxy_a_distance", "spearman_rho": "spearman",
-    "kendall_tau": "kendall", "source_variance_avg": "source_variance_avg",
-    "target_variance_avg": "target_variance_avg", "mean_shift_avg": "mean_shift_avg",
-    "tp_ratio_avg": "tp_ratio_avg", "pseudo_count": "pseudo_count",
-}
 # <stem>_comparison.csv: the MetricsReport per-class table it compares, its column prefix
 _COMPARISONS = {"variance_source": ("source_variance", "variance"),
                 "variance_target": ("target_variance", "variance"),
@@ -52,7 +45,9 @@ _ABLATION_KEYS = {"enable_pce", "regularizer", "enable_adversarial"}
 _BENCH_KEYS = {f.name for f in fields(DomainShiftSpec)}
 _TRAINER_KEYS = ({f.name for f in fields(adapt.TrainerConfig)} - {"weights"} - _ABLATION_KEYS
                  | {f.name for f in fields(LossWeights)})
-_TOP_KEYS = {"benchmark", "trainer", "ablation", "out_dir"}
+_TOP_KEYS = {"benchmark", "trainer", "ablation"}
+# a source label k asks for k + 1 classes, which DomainShiftSpec's class_count rule bounds
+_CLASS_COUNT = next(f.metadata for f in fields(DomainShiftSpec) if f.name == "class_count")
 
 
 def _read_json(path: str):
@@ -160,10 +155,11 @@ def cmd_gen(args, out: OutDir) -> str:
 def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray | None]:
     source_path = os.path.join(data_dir, SOURCE_FILE)
     source = load_dump(source_path)
-    unknown = np.flatnonzero(source.labels < 0)
-    if len(unknown):
-        raise ParseError(f"{source_path}: data row {unknown[0] + 1} has label "
-                         f"{source.labels[unknown[0]]}; every source row needs a known class")
+    bad = np.flatnonzero(~_CLASS_COUNT["contains"](source.labels + 1.0))
+    if len(bad):
+        raise ParseError(f"{source_path}: data row {bad[0] + 1} has label {source.labels[bad[0]]}"
+                         f"; every source row needs a known class k, with k + 1 in "
+                         f"class_count's range {_CLASS_COUNT['interval']}")
     target_path = os.path.join(data_dir, TARGET_FILE)
     target = load_dump(target_path)
     hidden_path = os.path.join(data_dir, HIDDEN_FILE)
@@ -257,6 +253,7 @@ def cmd_report(args, out: OutDir) -> str:
             suffix += 1
             name = f"{base}_{suffix}"
         names.append(name)
+        _require_artifact(run_dir, "manifest.json")  # written last: without it a run is partial
         path = _require_artifact(run_dir, "metrics.json")
         reports.append(metrics.MetricsReport.from_json_dict(_read_json(path), path))
         _, rows = read_csv(_require_artifact(run_dir, "rank_scatter.csv"),
@@ -273,9 +270,9 @@ def cmd_report(args, out: OutDir) -> str:
         values = np.array(columns[1:], dtype=np.float64)
         header = ["class", *(f"{prefix}_{n}" for n in names), *(f"delta_{n}" for n in names[1:])]
         write_csv(out(f"{stem}_comparison.csv"), header, [*columns, *(values[1:] - values[0])])
+    summaries = [report.summary() for report in reports]
     write_csv(out("summary_comparison.csv"), ["metric", *names],
-              [list(_SUMMARY_METRICS)] + [[float(getattr(r, attr)) for attr in
-                                          _SUMMARY_METRICS.values()] for r in reports])
+              [list(summaries[0]), *(list(summary.values()) for summary in summaries)])
 
     rank_panels = []
     for name, scatter, report in zip(names, scatters, reports):

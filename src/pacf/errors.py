@@ -112,16 +112,16 @@ def rule(default, interval: str | None = None, shape: tuple[str, ...] | None = N
 
     A number must lie in ``interval``, written like ``"[0, 1)"`` or ``"(0, inf)"``; an end
     at ``inf`` is written open, so the comparison itself rejects NaN and the infinities,
-    and an integer is compared exactly. ``shape`` names the fields whose values give the
-    shape of an array the field may hold instead of its default's kind; each entry of the
-    array must be finite."""
+    and an integer is compared exactly; ``metadata["contains"]`` tests it, elementwise on an
+    array. ``shape`` names the fields whose values give the shape of an array the field may
+    hold instead of its default's kind; each entry of the array must be finite."""
     meta = {"interval": interval, "shape": shape}
     if interval:
         low, high = ((int(end) if end.is_integer() else end)
                      for end in map(float, interval[1:-1].split(",")))
         above = operator.le if interval[0] == "[" else operator.lt
         below = operator.le if interval[-1] == "]" else operator.lt
-        meta["contains"] = lambda value: above(low, value) and below(value, high)
+        meta["contains"] = lambda value: above(low, value) & below(value, high)
     return field(default=default, metadata=meta)
 
 

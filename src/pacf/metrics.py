@@ -251,6 +251,14 @@ def pca_project_2d(features) -> np.ndarray:
     return centered @ np.stack(components, axis=1)
 
 
+# The report's diagnostics, each named once, in summary row order: the scalars
+# (MetricsReport field -> metrics.json key), then the per-class tables, then pseudo_count.
+# metrics.json, its reader and the summary rows all iterate these.
+SCALARS = {"proxy_a_distance": "proxy_a_distance", "spearman": "spearman_rho",
+           "kendall": "kendall_tau"}
+TABLES = ("source_variance", "target_variance", "mean_shift", "tp_ratio")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-class and aggregate diagnostics for one adapted model."""
@@ -280,22 +288,21 @@ class MetricsReport:
     def tp_ratio_avg(self) -> float:
         return class_average(self.tp_ratio)
 
-    def to_json_dict(self) -> dict:
-        def table(values: dict[int, float]) -> dict:
-            doc = {str(k): _json_float(values[k]) for k in sorted(values)}
-            doc["avg"] = _json_float(class_average(values))
-            return doc
+    def summary(self) -> dict[str, float]:
+        """The ``summary_comparison.csv`` rows: each scalar under its metrics.json key,
+        each table's class average as ``<table>_avg``, then ``pseudo_count``."""
+        return {**{key: float(getattr(self, name)) for name, key in SCALARS.items()},
+                **{f"{name}_avg": class_average(getattr(self, name)) for name in TABLES},
+                "pseudo_count": float(self.pseudo_count)}
 
-        return {
-            "source_variance": table(self.source_variance),
-            "target_variance": table(self.target_variance),
-            "mean_shift": table(self.mean_shift),
-            "proxy_a_distance": _json_float(self.proxy_a_distance),
-            "spearman_rho": _json_float(self.spearman),
-            "kendall_tau": _json_float(self.kendall),
-            "tp_ratio": table(self.tp_ratio),
-            "pseudo_count": self.pseudo_count,
-        }
+    def to_json_dict(self) -> dict:
+        doc = {key: _json_float(getattr(self, name)) for name, key in SCALARS.items()}
+        for name in TABLES:
+            values = getattr(self, name)
+            doc[name] = {str(k): _json_float(values[k]) for k in sorted(values)}
+            doc[name]["avg"] = _json_float(class_average(values))
+        doc["pseudo_count"] = self.pseudo_count
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict, path: str = "metrics") -> "MetricsReport":
@@ -309,16 +316,9 @@ class MetricsReport:
         def scalar(v) -> float:
             return float("nan") if v is None else float(v)
 
-        return cls(
-            source_variance=entry("source_variance", untable),
-            target_variance=entry("target_variance", untable),
-            mean_shift=entry("mean_shift", untable),
-            proxy_a_distance=entry("proxy_a_distance", scalar),
-            spearman=entry("spearman_rho", scalar),
-            kendall=entry("kendall_tau", scalar),
-            tp_ratio=entry("tp_ratio", untable),
-            pseudo_count=entry("pseudo_count", int, optional=True) or 0,
-        )
+        return cls(**{name: entry(key, scalar) for name, key in SCALARS.items()},
+                   **{name: entry(name, untable) for name in TABLES},
+                   pseudo_count=entry("pseudo_count", int, optional=True) or 0)
 
 
 def _json_float(x: float):

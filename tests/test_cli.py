@@ -95,6 +95,16 @@ class TestGen:
         assert run(["gen", "--config", str(path), "--out", str(out)]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_top_level_out_dir_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "out_dir": "nowhere"}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["gen", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: ConfigError: {path}: unknown keys "
+                                           "['out_dir']\n")
+        assert os.listdir(out) == []
+
     def test_malformed_json_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
@@ -249,6 +259,22 @@ class TestTrain:
         code = self.train_on_edited_data(tmp_path, config_path, "source.csv", unlabel_row_3)
         assert code == 1
         assert_one_unknown_source_label_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("label", ["100000", "100000000000000000"])
+    def test_source_label_past_class_count_fails_with_one_line(self, tmp_path, config_path,
+                                                               capsys, label):
+        def relabel_row_1(lines):
+            lines[1] = ",".join([label] + lines[1].split(",")[1:])
+            return lines
+
+        code = self.train_on_edited_data(tmp_path, config_path, "source.csv", relabel_row_1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ParseError: ")
+        assert f"source.csv: data row 1 has label {label}; " in err
+        assert "class_count's range [1, 1e5]" in err
+        assert os.listdir(tmp_path / "out") == []
 
     def test_short_hidden_labels_fail_with_one_line(self, tmp_path, config_path, capsys):
         code = self.train_on_edited_data(tmp_path, config_path, "target_hidden.csv",
@@ -526,6 +552,16 @@ class TestReport:
         assert f"rho={doc['spearman_rho']!r}" in svg
         assert f"tau={doc['kendall_tau']!r}" in svg
 
+    def test_run_without_manifest_fails_with_one_line(self, trained_run, tmp_path, capsys):
+        _, run_dir = trained_run
+        os.remove(run_dir / "manifest.json")
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: MissingArtifact: {run_dir / 'manifest.json'}\n"
+        assert os.listdir(out) == []
+
     def test_missing_artifact_named(self, trained_run, tmp_path, capsys):
         _, run_dir = trained_run
         os.remove(run_dir / "rank_scatter.csv")
@@ -568,6 +604,63 @@ class TestReport:
         run(["report", str(run_dir), "--out", str(out1)])
         run(["report", str(run_dir), "--out", str(out2)])
         assert read_bytes_map(out1) == read_bytes_map(out2)
+
+
+SUMMARY_METRICS = ["proxy_a_distance", "spearman_rho", "kendall_tau", "source_variance_avg",
+                   "target_variance_avg", "mean_shift_avg", "tp_ratio_avg", "pseudo_count"]
+METRICS_KEYS = {"config_hash", "source_variance", "target_variance", "mean_shift",
+                "proxy_a_distance", "spearman_rho", "kendall_tau", "tp_ratio", "pseudo_count"}
+
+
+class TestSummaryContents:
+    """``metrics.json``'s key set, and ``summary_comparison.csv`` cell by cell against it."""
+
+    def assert_summary(self, out, run_dirs):
+        rows = (out / "summary_comparison.csv").read_text().splitlines()
+        assert rows[0].split(",") == ["metric", *(os.path.basename(d) for d in run_dirs)]
+        cells = [row.split(",") for row in rows[1:]]
+        assert [row[0] for row in cells] == SUMMARY_METRICS
+        for column, run_dir in enumerate(run_dirs, start=1):
+            doc = json.loads((run_dir / "metrics.json").read_text())
+            for row in cells:
+                name = row[0]
+                value = doc[name[:-len("_avg")]]["avg"] if name.endswith("_avg") else doc[name]
+                assert row[column] == ("" if value is None else repr(float(value))), name
+
+    def test_one_run(self, trained_run, tmp_path):
+        _, run_dir = trained_run
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(run_dir), "--out", str(out)]) == 0
+        self.assert_summary(out, [run_dir])
+
+    def test_two_runs(self, trained_run, tmp_path):
+        data, run_dir = trained_run
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["ablation"] = {"enable_pce": False, "regularizer": "none",
+                           "enable_adversarial": False}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(doc))
+        baseline = tmp_path / "baseline"
+        baseline.mkdir()
+        assert run(["train", "--config", str(path), "--data", str(data),
+                    "--out", str(baseline)]) == 0
+        out = tmp_path / "report"
+        out.mkdir()
+        assert run(["report", str(baseline), str(run_dir), "--out", str(out)]) == 0
+        self.assert_summary(out, [baseline, run_dir])
+
+    def test_metrics_json_keys(self, trained_run, tmp_path):
+        data, run_dir = trained_run
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 0
+        for directory in (run_dir, out):
+            doc = json.loads((directory / "metrics.json").read_text())
+            assert set(doc) == METRICS_KEYS
+            for table in ("source_variance", "target_variance", "mean_shift", "tp_ratio"):
+                assert "avg" in doc[table]
 
 
 class TestManifest:
