@@ -169,6 +169,12 @@ def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray 
         if len(hidden) != len(target.labels):
             raise ParseError(f"{hidden_path} has {len(hidden)} data rows, but {target_path} "
                              f"has {len(target.labels)}")
+        top = source.labels.max()
+        bad = np.flatnonzero((hidden < -1) | (hidden > top))
+        if len(bad):
+            raise ParseError(f"{hidden_path}: data row {bad[0] + 1} has label {hidden[bad[0]]}"
+                             f"; a hidden label is -1 (unknown) or a source class from 0 "
+                             f"to {top}")
     return source, target.features, hidden
 
 

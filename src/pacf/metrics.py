@@ -51,12 +51,46 @@ def mean_shift(source_features, source_labels, target_features, target_labels,
     return shifts
 
 
+def _column_basis(x: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns spanning the subspace of R^m that the rows of an (n, m) ``x``
+    numerically occupy, or None when that is all of R^m.
+
+    The eigenvectors of ``xᵀx`` whose eigenvalues exceed the rounding level
+    ``max(n, m) * eps * λ_max``; the rows reach the other directions only through
+    rounding. A non-finite Gram (a design that overflowed while it was
+    standardized) keeps the whole space, so ``eigh`` never sees one.
+    """
+    gram = x.T @ x
+    if not np.isfinite(gram).all():
+        return None
+    values, vectors = np.linalg.eigh(gram)
+    keep = values > max(x.shape) * np.finfo(np.float64).eps * values[-1]
+    return None if keep.all() else vectors[:, keep]
+
+
 def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full-batch gradient descent on regularized logistic loss; deterministic."""
-    w = np.zeros(x.shape[1])
+    """Full-batch gradient descent on regularized logistic loss; deterministic.
+
+    400 unit steps with a 1e-3 ridge on every weight but the bias (the last column).
+    When the rows of ``x`` numerically span only r of its m dimensions, as the
+    standardized embeddings of an affine extractor do, each step's two products go
+    through the (n, r) factor ``a = x @ basis`` (see ``_column_basis``), while ``w``
+    stays in the full space, so the ridge acts on all of it. The factor changes ``w``
+    only at the rounding level. Otherwise the products use ``x`` itself.
+    """
     n = len(y)
+    basis = _column_basis(x)
+    if basis is None:
+        def gradient(w):
+            return x.T @ (sigmoid(x @ w) - y) / n
+    else:
+        a = np.asfortranarray(x @ basis)  # column-major: a.T @ r runs on contiguous rows
+
+        def gradient(w):
+            return basis @ (a.T @ (sigmoid(a @ (basis.T @ w)) - y)) / n
+    w = np.zeros(x.shape[1])
     for _ in range(400):
-        grad = x.T @ (sigmoid(x @ w) - y) / n
+        grad = gradient(w)
         grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
         w = w - grad
     return w
@@ -88,9 +122,11 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     A logistic classifier is trained on a seeded 50/50 split of the pooled
     embeddings (source labeled 0, target 1) and evaluated on the held-out
     half; the result is clamped to [0, 2]. Note the formula maps
-    indistinguishable domains (eps = 0.5) to 1.0, not 0. Each half is
-    gathered once, into its own design matrix, so the peak memory is about
-    two copies of the train half.
+    indistinguishable domains (eps = 0.5) to 1.0, not 0. A NaN or infinite
+    embedding entry gives nan. Each half is gathered once, into its own
+    design matrix, so the peak memory is about two copies of the train half;
+    the fit (see ``_fit_logistic``) adds its (rows, r) factor when the train
+    half spans only r < d + 1 dimensions.
     """
     xs = np.asarray(source_embeddings, dtype=np.float64)
     xt = np.asarray(target_embeddings, dtype=np.float64)
@@ -99,6 +135,8 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     if len(xs) < 20 or len(xt) < 20:
         raise InsufficientSamples(
             f"need >= 20 samples per domain, got {len(xs)} and {len(xt)}")
+    if not (np.isfinite(xs).all() and np.isfinite(xt).all()):
+        return float("nan")
     rng = np.random.Generator(np.random.PCG64(0))
     perm = rng.permutation(len(xs) + len(xt))
     y = (perm >= len(xs)).astype(np.float64)  # the domain of each permuted row

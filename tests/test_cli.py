@@ -136,6 +136,21 @@ def assert_one_hidden_row_count_line(err):
     assert "target_hidden.csv has 198 data rows" in err and "has 200" in err
 
 
+def relabel_row_5(label):
+    def edit(lines):
+        lines[5] = ",".join([label] + lines[5].split(",")[1:])
+        return lines
+    return edit
+
+
+def assert_one_hidden_label_line(err, label):
+    assert err.count("\n") == 1
+    assert err.startswith("error: ParseError: ")
+    # the generated source has classes 0 to 3
+    assert f"target_hidden.csv: data row 5 has label {label}; " in err
+    assert "-1 (unknown) or a source class from 0 to 3" in err
+
+
 def with_line(text, index, line):
     lines = text.splitlines()
     lines[index] = line
@@ -282,6 +297,15 @@ class TestTrain:
         assert code == 1
         assert_one_hidden_row_count_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("label", ["-7", "4", "57"])
+    def test_hidden_label_outside_source_classes_fails_with_one_line(self, tmp_path,
+                                                                    config_path, capsys, label):
+        code = self.train_on_edited_data(tmp_path, config_path, "target_hidden.csv",
+                                         relabel_row_5(label))
+        assert code == 1
+        assert_one_hidden_label_line(capsys.readouterr().err, label)
+        assert os.listdir(tmp_path / "out") == []
+
     def test_narrower_target_fails_with_one_line(self, tmp_path, config_path, capsys):
         def drop_last_column(lines):
             return [line.rsplit(",", 1)[0] for line in lines]
@@ -379,6 +403,20 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(data), "--out", str(out)]) == 1
         assert_one_hidden_row_count_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("label", ["-7", "57"])
+    def test_hidden_label_outside_source_classes_fails_with_one_line(self, trained_run,
+                                                                    tmp_path, capsys, label):
+        data, run_dir = trained_run
+        hidden = data / "target_hidden.csv"
+        hidden.write_text("\n".join(relabel_row_5(label)(hidden.read_text().splitlines()))
+                          + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        assert_one_hidden_label_line(capsys.readouterr().err, label)
+        assert os.listdir(out) == []
 
     def test_non_utf8_source_fails_with_one_line(self, trained_run, tmp_path, capsys):
         data, run_dir = trained_run

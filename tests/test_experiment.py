@@ -138,6 +138,24 @@ class TestEvaluateState:
         assert report.tp_ratio == metrics.tp_ratio(pseudo.labels[kept], pseudo.indices[kept],
                                                    hidden)
 
+    def test_probe_fits_on_the_extractor_column_space(self, monkeypatch):
+        dataset = synthbench.generate(synthbench.DomainShiftSpec(dim=8, samples_per_class=40))
+        config = adapt.TrainerConfig(warmup_steps=20, steps=5, feature_dim=32)
+        source, target = dataset.training_view()
+        result = adapt.run_experiment(source, target, config)
+        bases = []
+        original = metrics._column_basis
+
+        def recording_basis(x):
+            bases.append(original(x))
+            return bases[-1]
+
+        monkeypatch.setattr(metrics, "_column_basis", recording_basis)
+        experiment.evaluate_state(result.state, config, source, target,
+                                  dataset.target_hidden_labels)
+        # an affine extractor's embeddings, with the bias column, span input_dim + 1 dims
+        assert [basis.shape[1] for basis in bases] == [result.state.student.input_dim + 1]
+
     def test_peak_memory_about_two_embeddings(self, traced_peak):
         dataset = synthbench.generate(synthbench.DomainShiftSpec(samples_per_class=200))
         config = adapt.TrainerConfig(warmup_steps=50, steps=1)

@@ -6,6 +6,7 @@ import pytest
 
 from pacf import metrics
 from pacf.errors import DimensionMismatch, InsufficientSamples
+from pacf.mathcore import sigmoid
 
 
 def oracle_kendall_tau(xs, ys) -> float:
@@ -55,6 +56,31 @@ def oracle_proxy_a_distance(source_embeddings, target_embeddings) -> float:
     pred = (xn[test_idx] @ w >= 0.0).astype(np.float64)
     eps = float(np.mean(pred != y[test_idx]))
     return float(np.clip(2.0 * (1.0 - eps), 0.0, 2.0))
+
+
+def oracle_fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The loop ``metrics._fit_logistic`` ran on the full design before it used a factor."""
+    w = np.zeros(x.shape[1])
+    n = len(y)
+    for _ in range(400):
+        grad = x.T @ (sigmoid(x @ w) - y) / n
+        grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
+        w = w - grad
+    return w
+
+
+def probe_designs(xs, xt):
+    """The standardized train design with its domain labels, and the standardized held-out
+    design, of the split ``metrics.proxy_a_distance`` makes."""
+    x = np.vstack([xs, xt])
+    y = np.concatenate([np.zeros(len(xs)), np.ones(len(xt))])
+    perm = np.random.Generator(np.random.PCG64(0)).permutation(len(x))
+    train_idx, test_idx = perm[:len(x) // 2], perm[len(x) // 2:]
+    mu = x[train_idx].mean(axis=0)
+    sd = x[train_idx].std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    xn = np.hstack([(x - mu) / sd, np.ones((len(x), 1))])
+    return xn[train_idx], y[train_idx], xn[test_idx]
 
 
 def bits(x: float) -> bytes:
@@ -183,6 +209,14 @@ class TestProxyADistance:
             b = rng.normal(size=(50, 4)) + scale
             assert 0.0 <= metrics.proxy_a_distance(a, b) <= 2.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("domain", [0, 1])
+    def test_non_finite_entry_gives_nan(self, value, domain):
+        rng = np.random.default_rng(60)
+        pair = [rng.normal(size=(50, 4)), rng.normal(size=(50, 4))]
+        pair[domain][7, 2] = value
+        assert np.isnan(metrics.proxy_a_distance(*pair))
+
 
 class TestProxyADistanceAgainstOracle:
     @staticmethod
@@ -226,6 +260,42 @@ class TestProxyADistanceAgainstOracle:
     def test_peak_memory_about_one_input(self, traced_peak):
         xs, xt = self.domains(72, 2000, 2007, 64)
         # the pooled probe peaked at 3.1x the input bytes, one design matrix per half at 1.1x
+        assert traced_peak(metrics.proxy_a_distance, xs, xt) < 1.5 * (xs.nbytes + xt.nbytes)
+
+
+class TestFitLogisticAgainstOracle:
+    domains = staticmethod(TestProxyADistanceAgainstOracle.domains)
+    affine = staticmethod(TestProxyADistanceAgainstOracle.affine)
+
+    @pytest.mark.parametrize("ns, nt, d", [(37, 90, 6), (20, 21, 5), (20, 20, 3), (64, 51, 1),
+                                           (300, 280, 48)])
+    def test_bitwise_equal_on_full_rank_designs(self, ns, nt, d):
+        x, y, _ = probe_designs(*self.domains(ns * 1000 + nt, ns, nt, d))
+        assert metrics._column_basis(x) is None
+        assert metrics._fit_logistic(x, y).tobytes() == oracle_fit_logistic(x, y).tobytes()
+
+    @pytest.mark.parametrize("ns, nt, rank, d", [(200, 200, 4, 32), (150, 173, 1, 9),
+                                                 (400, 333, 8, 128),
+                                                 (800, 800, 32, 128)])  # pacf's 32 -> 128
+    def test_close_on_rank_deficient_affine_designs(self, ns, nt, rank, d):
+        x, y, test = probe_designs(*self.affine(rank * 7 + d, ns, nt, rank, d))
+        assert metrics._column_basis(x).shape == (d + 1, rank + 1)
+        w = metrics._fit_logistic(x, y)
+        expected = oracle_fit_logistic(x, y)
+        assert np.linalg.norm(w - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(test @ w >= 0.0, test @ expected >= 0.0)
+
+    def test_design_overflowed_by_standardizing_runs_the_full_loop(self):
+        xs, xt = self.affine(61, 40, 40, 2, 6)
+        xs[:, 1] = 1.7e308  # finite, but the column mean overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y, _ = probe_designs(xs, xt)
+            assert not np.isfinite(x).all()
+            assert metrics._column_basis(x) is None  # eigh would fail to converge
+            assert metrics._fit_logistic(x, y).tobytes() == oracle_fit_logistic(x, y).tobytes()
+
+    def test_peak_memory_about_one_input(self, traced_peak):
+        xs, xt = self.affine(73, 2000, 2007, 8, 64)
         assert traced_peak(metrics.proxy_a_distance, xs, xt) < 1.5 * (xs.nbytes + xt.nbytes)
 
 
