@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelParams":
-        params = cls(**{key: np.asarray(doc[key], dtype=np.float64) for key in PARAM_KEYS})
+        params = cls(**{key: doc[key] for key in PARAM_KEYS})
         bad = params.nonfinite_keys()
         if bad:
             raise ValueError(f"{bad[0]} contains non-finite entries")
@@ -171,8 +171,8 @@ class TrainerConfig:
 
     def to_json_dict(self) -> dict:
         """Flat document: every field, with the loss weights as ``lambda_*`` keys."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "weights"}
-        doc.update(self.weights.as_dict())
+        doc = asdict(self)
+        doc.update(doc.pop("weights"))
         return doc
 
     @classmethod
@@ -262,29 +262,37 @@ def generate_pseudo_labels(teacher: ModelParams, target_features,
     """Keep teacher predictions of a real class whose max probability reaches the threshold.
 
     Predictions come from the clean (un-noised) features. Ties break toward
-    the lowest class index via argmax. May return an empty set.
+    the lowest class index via argmax. May return an empty set. A row whose
+    probabilities are not finite raises :class:`Diverged` naming it.
     """
-    if not (np.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
-    _, probs = forward(teacher, np.atleast_2d(np.asarray(target_features, dtype=np.float64)))
+    # an overflowing teacher ends in the one error below, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, probs = forward(teacher, np.atleast_2d(target_features))
     confidence = probs.max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(confidence))
+    if len(bad):
+        raise Diverged(f"the teacher's class probabilities for target row {bad[0] + 1} "
+                       "are not finite")
     labels = probs.argmax(axis=1)
     idx = np.flatnonzero((confidence >= threshold) & (labels < teacher.class_count))
     return PseudoLabels(indices=idx, labels=labels[idx], scores=confidence[idx])
+
+
+def check_teacher(teacher: ModelParams, student: ModelParams) -> ModelParams:
+    """``teacher``, once each of its parameters is found to have the student's shape."""
+    for key in PARAM_KEYS:
+        if getattr(teacher, key).shape != getattr(student, key).shape:
+            raise DimensionMismatch(f"teacher/student shape mismatch on {key}")
+    return teacher
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, rate: float) -> ModelParams:
     """theta_teacher <- rate * theta_teacher + (1 - rate) * theta_student."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"ema rate must lie in [0, 1), got {rate!r}")
-    new = {}
-    for key in PARAM_KEYS:
-        t = getattr(teacher, key)
-        s = getattr(student, key)
-        if t.shape != s.shape:
-            raise DimensionMismatch(f"teacher/student shape mismatch on {key}")
-        new[key] = rate * t + (1.0 - rate) * s
-    return ModelParams(**new)
+    check_teacher(teacher, student)
+    return ModelParams(**{key: rate * getattr(teacher, key) + (1.0 - rate) * value
+                          for key, value in student.as_dict().items()})
 
 
 def _rows_of(rows, grad: np.ndarray, n: int) -> np.ndarray:
@@ -455,7 +463,7 @@ def initialize_from_warmup(state: AdaptationState, source: LabeledBatch,
     class_count = state.student.class_count
     protos = {}
     for domain, feats in (("source", source.features), ("target", target_features)):
-        emb, probs = forward(state.student, np.asarray(feats, dtype=np.float64))
+        emb, probs = forward(state.student, feats)
         batch = LabeledBatch(emb, probs.argmax(axis=1), probs.max(axis=1))
         protos[domain] = initialize_prototypes(batch, config.init_threshold, domain,
                                                class_count)
@@ -517,15 +525,27 @@ def state_from_checkpoint(doc: dict, path: str = "checkpoint"
     """Rebuild a state (with a fresh RNG) plus its trainer config and hash.
 
     A missing key or a malformed entry raises :class:`ParseError` naming
-    ``path`` and the key.
+    ``path`` and the key; so does a teacher whose shapes differ from the
+    student's, or a prototype set of another class count or dim.
     """
     entry = entry_reader(doc, path)
     config = entry("trainer_config", TrainerConfig.from_json_dict)
+    student = entry("student", ModelParams.from_json_dict)
+
+    def prototypes(doc) -> PrototypeSet:
+        pset = PrototypeSet.from_json_dict(doc)
+        if (pset.class_count, pset.dim) != (student.class_count, student.feature_dim):
+            raise DimensionMismatch(
+                f"{pset.class_count} classes of dim {pset.dim}, but the student has "
+                f"{student.class_count} classes of dim {student.feature_dim}")
+        return pset
+
     state = AdaptationState(
-        student=entry("student", ModelParams.from_json_dict),
-        teacher=entry("teacher", ModelParams.from_json_dict),
-        src_protos=entry("src_prototypes", PrototypeSet.from_json_dict, optional=True),
-        tgt_protos=entry("tgt_prototypes", PrototypeSet.from_json_dict, optional=True),
+        student=student,
+        teacher=entry("teacher", lambda doc: check_teacher(ModelParams.from_json_dict(doc),
+                                                           student)),
+        src_protos=entry("src_prototypes", prototypes, optional=True),
+        tgt_protos=entry("tgt_prototypes", prototypes, optional=True),
         step=entry("step", operator.index),
         rng=np.random.Generator(np.random.PCG64(config.seed)),
     )

@@ -246,7 +246,10 @@ def _read_scatter_row(cells: list[str]) -> list[float]:
 
 
 def _read_projection_row(cells: list[str]) -> tuple[tuple[float, float], int]:
-    return (float(cells[0]), float(cells[1])), parse_int64(cells[2])
+    point = float(cells[0]), float(cells[1])
+    if not all(map(math.isfinite, point)):
+        raise ValueError("non-finite value")
+    return point, parse_int64(cells[2])
 
 
 def cmd_report(args, out: OutDir) -> str:

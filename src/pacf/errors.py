@@ -89,6 +89,17 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def as_float(value) -> float:
+    """A number but a boolean as a Python float, and an integer past float64 as the infinity
+    of its sign, which no interval open at ``inf`` holds; anything else raises TypeError."""
+    if not _is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def _numeric_shape(value, depth: int = 2) -> tuple | None:
     """The shape of a number, ``()``, or of rectangular nested lists (or an array) of numbers
     at most ``depth`` levels deep; None for anything else, an empty list included."""
@@ -117,8 +128,7 @@ def rule(default, interval: str | None = None, shape: tuple[str, ...] | None = N
     hold instead of its default's kind; each entry of the array must be finite."""
     meta = {"interval": interval, "shape": shape}
     if interval:
-        low, high = ((int(end) if end.is_integer() else end)
-                     for end in map(float, interval[1:-1].split(",")))
+        low, high = map(float, interval[1:-1].split(","))
         above = operator.le if interval[0] == "[" else operator.lt
         below = operator.le if interval[-1] == "]" else operator.lt
         meta["contains"] = lambda value: above(low, value) & below(value, high)
@@ -134,7 +144,7 @@ def check_fields(config, range_error=ValueError) -> None:
     except that a field with a ``shape`` also takes a rectangular list of numbers or of
     lists of numbers. A value of the right kind outside its interval or its ``choices``,
     an array of the wrong shape, or one with a non-finite entry, raises ``range_error``
-    naming the field. An array is stored as float64."""
+    naming the field. A float field's number is stored by :func:`as_float`, an array as float64."""
     for f in fields(config):
         name, value, meta = f.name, getattr(config, f.name), f.metadata
         if isinstance(value, bool) != isinstance(f.default, bool):
@@ -160,5 +170,8 @@ def check_fields(config, range_error=ValueError) -> None:
             object.__setattr__(config, name, array)
         elif not isinstance(value, kind):
             raise TypeError(f"{name} must be {kind_name}, got {value!r}")
-        elif "contains" in meta and not meta["contains"](value):
-            raise range_error(f"{name} must lie in {meta['interval']}, got {value!r}")
+        else:
+            value = as_float(value) if kind is Real else value
+            object.__setattr__(config, name, value)
+            if "contains" in meta and not meta["contains"](value):
+                raise range_error(f"{name} must lie in {meta['interval']}, got {value!r}")

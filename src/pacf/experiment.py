@@ -1,14 +1,15 @@
 """Run/evaluate wiring shared by CLI and tests.
 
-Distribution diagnostics (per-class variance, class-mean shift, proxy
-A-distance, 2-D projection) are computed on unit-normalized embeddings.
-With an affine extractor over isotropic class-conditional inputs, the raw
-per-class covariance is sigma^2 W W^T for every class, so raw-trace variance
-measures only the global weight scale, a mode the cosine-space losses are
-blind to by construction. The framework's feature geometry lives on the unit
-sphere (features and prototypes are L2-normalized wherever prototypes act),
-and the normalized diagnostics measure exactly the compactness and alignment
-the mechanism manipulates. Mean shift is the distance between unit-normalized
+Distribution diagnostics (per-class variance, class-mean shift, 2-D
+projection) are computed on unit-normalized embeddings; the proxy A-distance
+probes the raw embeddings, which the domain discriminator sees. With an
+affine extractor over isotropic class-conditional inputs, the raw per-class
+covariance is sigma^2 W W^T for every class, so raw-trace variance measures
+only the global weight scale, a mode the cosine-space losses are blind to by
+construction. The framework's feature geometry lives on the unit sphere
+(features and prototypes are L2-normalized wherever prototypes act), and the
+normalized diagnostics measure exactly the compactness and alignment the
+mechanism manipulates. Mean shift is the distance between unit-normalized
 class means (pure directional shift, uncontaminated by per-instance spread).
 """
 
@@ -71,10 +72,10 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     """Full diagnostic pass over clean features with the current student/teacher.
 
     Distribution diagnostics run on unit-normalized embeddings (see the
-    module docstring); mean shift uses normalized class means. The per-class
-    target tables and the TP ratio are built from the rows whose hidden
-    label is known (not -1); absent hidden labels are all unknown, which
-    leaves the label-free diagnostics only.
+    module docstring), the proxy A-distance on the raw ones; mean shift uses
+    normalized class means. The per-class target tables and the TP ratio are
+    built from the rows whose hidden label is known (not -1); absent hidden
+    labels are all unknown, which leaves the label-free diagnostics only.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
     # a degenerate student ends in one error line below, not in numpy warnings

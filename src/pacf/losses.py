@@ -63,10 +63,7 @@ class LossWeights:
     lambda_mut: float = rule(1.0, "[0, inf)")
 
     def __post_init__(self):
-        check_fields(self)  # the raw fields: as_dict() casts to float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
+        check_fields(self)
 
     @classmethod
     def pop_from(cls, doc: dict) -> "LossWeights":
@@ -364,7 +361,7 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> Los
     grad_features: np.ndarray | None = None
     grad_params, grad_inputs = {}, {}
     for name, loss in components.items():
-        weight = float(_COMPONENT_WEIGHTS[name](weights))
+        weight = _COMPONENT_WEIGHTS[name](weights)
         value += weight * loss.value
         if loss.grad_features is not None:
             contrib = weight * loss.grad_features

@@ -8,11 +8,12 @@ ratios against hidden labels, and a deterministic 2-D PCA projection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, entry_reader
+from .errors import DimensionMismatch, InsufficientSamples, as_float, entry_reader
 from .mathcore import sigmoid
 
 
@@ -123,7 +124,9 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     embeddings (source labeled 0, target 1) and evaluated on the held-out
     half; the result is clamped to [0, 2]. Note the formula maps
     indistinguishable domains (eps = 0.5) to 1.0, not 0. A NaN or infinite
-    embedding entry gives nan. Each half is gathered once, into its own
+    embedding entry gives nan, and so does an overflow of float64: a train-half
+    column whose mean or spread overflows, or a held-out row whose standardized
+    score is undefined (inf - inf). Each half is gathered once, into its own
     design matrix, so the peak memory is about two copies of the train half;
     the fit (see ``_fit_logistic``) adds its (rows, r) factor when the train
     half spans only r < d + 1 dimensions.
@@ -142,14 +145,21 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     y = (perm >= len(xs)).astype(np.float64)  # the domain of each permuted row
     half = len(perm) // 2
     train = _pooled_rows(xs, xt, perm[:half])
-    mu = train[:, :-1].mean(axis=0)
-    sd = train[:, :-1].std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = train[:, :-1].mean(axis=0)
+        sd = train[:, :-1].std(axis=0)
+    if not (np.isfinite(mu).all() and np.isfinite(sd).all()):
+        return float("nan")
     sd = np.where(sd < 1e-12, 1.0, sd)
     w = _fit_logistic(_standardize(train, mu, sd), y[:half])
     del train
-    test = _standardize(_pooled_rows(xs, xt, perm[half:]), mu, sd)
-    pred = (test @ w >= 0.0).astype(np.float64)
-    eps = float(np.mean(pred != y[half:]))
+    # a held-out row far outside the train half's spread may overflow to an infinite score,
+    # whose sign still classifies it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _standardize(_pooled_rows(xs, xt, perm[half:]), mu, sd) @ w
+    if np.isnan(scores).any():
+        return float("nan")
+    eps = float(np.mean((scores >= 0.0) != y[half:]))
     return float(np.clip(2.0 * (1.0 - eps), 0.0, 2.0))
 
 
@@ -329,7 +339,7 @@ class MetricsReport:
     def summary(self) -> dict[str, float]:
         """The ``summary_comparison.csv`` rows: each scalar under its metrics.json key,
         each table's class average as ``<table>_avg``, then ``pseudo_count``."""
-        return {**{key: float(getattr(self, name)) for name, key in SCALARS.items()},
+        return {**{key: getattr(self, name) for name, key in SCALARS.items()},
                 **{f"{name}_avg": class_average(getattr(self, name)) for name in TABLES},
                 "pseudo_count": float(self.pseudo_count)}
 
@@ -348,18 +358,17 @@ class MetricsReport:
         entry = entry_reader(doc, path)
 
         def untable(values: dict) -> dict[int, float]:
-            return {int(k): float(v) for k, v in values.items()
+            return {int(k): as_float(v) for k, v in values.items()
                     if k != "avg" and v is not None}
 
         def scalar(v) -> float:
-            return float("nan") if v is None else float(v)
+            return float("nan") if v is None else as_float(v)
 
         return cls(**{name: entry(key, scalar) for name, key in SCALARS.items()},
                    **{name: entry(name, untable) for name in TABLES},
-                   pseudo_count=entry("pseudo_count", int, optional=True) or 0)
+                   pseudo_count=entry("pseudo_count", operator.index, optional=True) or 0)
 
 
 def _json_float(x: float):
     """Floats for JSON output; non-finite values become null."""
-    x = float(x)
     return x if np.isfinite(x) else None

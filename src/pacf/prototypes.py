@@ -21,12 +21,15 @@ built on its first read, so a set that is only written never builds it.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
-# cosine_similarity and l2_normalize are re-exported: callers import them from here
+# cosine_similarity and l2_normalize are unused here; they stay importable from this
+# module only because perfbench/tracing.py patches them here to count prototype math calls
 from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
-from .synthbench import LabeledBatch
+from .synthbench import MISSING, LabeledBatch
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
@@ -47,16 +50,16 @@ class PrototypeSet:
                  prototypes: dict[int, np.ndarray] | None = None):
         if domain not in DOMAINS:
             raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
-        if class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
         self.domain = domain
-        self.class_count = int(class_count)
-        self.dim = int(dim)
+        self.class_count = operator.index(class_count)
+        self.dim = operator.index(dim)
+        if self.class_count < 1:
+            raise ValueError("class_count must be >= 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         self._prototypes: dict[int, np.ndarray] = {}
         self._matrix: np.ndarray | None = None
-        if prototypes:
+        if prototypes is not None:
             self._store(*self._stack(prototypes))
 
     def _stack(self, updates: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -140,24 +143,15 @@ class PrototypeSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PrototypeSet":
-        protos = {int(k): np.asarray(v, dtype=np.float64)
-                  for k, v in doc["prototypes"].items()}
-        return cls(doc["domain"], int(doc["class_count"]), int(doc["dim"]), protos)
+        return cls(doc["domain"], doc["class_count"], doc["dim"], doc["prototypes"])
 
 
 # --- batched kernels ----------------------------------------------------------
 
 def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
-    if labels.ndim != 1 or len(labels) != len(features):
-        raise DimensionMismatch("labels must be 1-D and match the feature count")
     # checked before the class sums, which would warn on a non-finite entry
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
-    return features, labels
+    batch = LabeledBatch(features, labels, np.full(np.shape(labels), float(MISSING)))
+    return batch.features, batch.labels
 
 
 def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
@@ -236,8 +230,6 @@ def initialize_prototypes(batch: LabeledBatch, threshold: float, domain: str,
     single-class model) never qualify; a qualifying negative label raises
     ValueError. Classes with no qualifying feature are left uninitialized.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
     if len(batch) == 0:
         raise EmptyBatch("cannot initialize prototypes from an empty batch")
     keep = (batch.scores >= threshold) & (batch.labels < class_count)

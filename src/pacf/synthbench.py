@@ -45,7 +45,7 @@ class LabeledBatch:
             raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
         if labels.shape != (len(features),) or scores.shape != (len(features),):
             raise DimensionMismatch("labels and scores must match the feature count")
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -124,7 +124,7 @@ def generate(spec: DomainShiftSpec) -> DatasetPair:
     if np.ndim(spec.target_mean_shift) == 0:
         directions = rng.standard_normal((c, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        shifts = float(spec.target_mean_shift) * directions
+        shifts = spec.target_mean_shift * directions
     else:
         shifts = spec.target_mean_shift
 

@@ -5,7 +5,7 @@ from pacf import adapt, losses, mathcore
 from pacf.adapt import (ModelParams, TrainerConfig, ema_update,
                         forward, generate_pseudo_labels, init_state, predict,
                         run_experiment, train_run, train_step)
-from pacf.errors import DimensionMismatch
+from pacf.errors import DimensionMismatch, Diverged
 from pacf.losses import LossWeights
 from pacf.prototypes import PrototypeSet
 from pacf.synthbench import LabeledBatch
@@ -171,6 +171,12 @@ class TestGeneratePseudoLabels:
         pseudo = generate_pseudo_labels(teacher, np.array([[2.0, 0.0]]), 1.5)
         assert len(pseudo) == 0
 
+    def test_non_finite_teacher_probabilities_diverge(self):
+        teacher = self.make_confident_teacher()
+        teacher.extractor_w = np.full((2, 2), 1e308)  # row 2 overflows, row 1 does not
+        with pytest.raises(Diverged, match="teacher's class probabilities for target row 2 "):
+            generate_pseudo_labels(teacher, np.array([[0.5, 0.5], [2.0, 2.0]]), 0.8)
+
 
 class TestEmaUpdate:
     def test_rate_zero_copies_student(self):
@@ -211,6 +217,10 @@ class TestEmaUpdate:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             ema_update(make_params(), make_params(), 1.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="classifier_w"):
+            ema_update(make_params(classes=3), make_params(classes=2), 0.5)
 
 
 class TestTrainStep:
@@ -680,3 +690,14 @@ class TestTrainerConfigRanges:
     def test_non_finite_count_is_wrong_kind(self, name, value):
         with pytest.raises(TypeError, match=name):
             TrainerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["tau", "pseudo_threshold", "learning_rate",
+                                      "augment_noise", "lambda_dis"])
+    def test_integer_past_float64_fails_its_interval(self, name):
+        with pytest.raises(ValueError, match=rf"{name} must lie in .*, got inf$"):
+            TrainerConfig.from_json_dict({name: 2 ** 1100})
+
+    def test_number_field_stores_a_float(self):
+        doc = TrainerConfig.from_json_dict({"learning_rate": 0, "lambda_pce": 2}).to_json_dict()
+        assert (doc["learning_rate"], doc["lambda_pce"]) == (0.0, 2.0)
+        assert type(doc["learning_rate"]) is float and type(doc["lambda_pce"]) is float

@@ -1,3 +1,4 @@
+import math
 import struct
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from pacf import metrics
-from pacf.errors import DimensionMismatch, InsufficientSamples
+from pacf.errors import DimensionMismatch, InsufficientSamples, ParseError
 from pacf.mathcore import sigmoid
 
 
@@ -216,6 +217,26 @@ class TestProxyADistance:
         pair = [rng.normal(size=(50, 4)), rng.normal(size=(50, 4))]
         pair[domain][7, 2] = value
         assert np.isnan(metrics.proxy_a_distance(*pair))
+
+    @pytest.mark.parametrize("domain", [0, 1])
+    def test_column_whose_mean_overflows_gives_nan(self, domain):
+        rng = np.random.default_rng(61)
+        pair = [rng.normal(size=(50, 4)), rng.normal(size=(50, 4))]
+        pair[domain][:, 2] = 1.7e308  # finite, but the train half's column mean is not
+        assert np.isnan(metrics.proxy_a_distance(*pair))
+
+    @pytest.mark.parametrize("cells, expected", [
+        ((1.7e308,), 1.52),             # an infinite score: its sign classifies the row
+        ((-1.7e308,), 1.48),
+        ((1.7e308, -1.7e308), math.nan),  # inf - inf: the score is undefined
+    ])
+    def test_held_out_row_past_the_train_spread(self, cells, expected):
+        rng = np.random.default_rng(62)
+        xs, xt = rng.normal(size=(50, 4)) * 0.5, rng.normal(size=(50, 4)) * 0.5 + 0.5
+        held_out = np.random.Generator(np.random.PCG64(0)).permutation(100)[50:]
+        row = held_out[held_out >= 50][0] - 50  # a target row of the held-out half
+        xt[row, :len(cells)] = cells  # standardized by a spread below 1, it overflows
+        assert metrics.proxy_a_distance(xs, xt) == pytest.approx(expected, nan_ok=True)
 
 
 class TestProxyADistanceAgainstOracle:
@@ -556,6 +577,23 @@ class TestReportSerialization:
         assert doc["source_variance"]["avg"] == pytest.approx(1.75)
         loaded = metrics.MetricsReport.from_json_dict(doc)
         assert loaded == report
+
+    @pytest.mark.parametrize("key, value", [
+        ("pseudo_count", math.inf), ("pseudo_count", 2.5), ("pseudo_count", "3"),
+        ("proxy_a_distance", "0.5"), ("kendall_tau", True), ("tp_ratio", {"0": "0.9"}),
+    ])
+    def test_value_of_the_wrong_kind_is_malformed(self, key, value):
+        doc = metrics.MetricsReport(pseudo_count=3).to_json_dict()
+        doc[key] = value
+        with pytest.raises(ParseError, match=repr(key)):
+            metrics.MetricsReport.from_json_dict(doc)
+
+    def test_integer_past_float64_reads_as_infinity(self):
+        doc = metrics.MetricsReport(tp_ratio={0: 0.5}).to_json_dict()
+        doc["spearman_rho"] = 2 ** 1100
+        doc["tp_ratio"]["0"] = -2 ** 1100
+        report = metrics.MetricsReport.from_json_dict(doc)
+        assert (report.spearman, report.tp_ratio) == (math.inf, {0: -math.inf})
 
     def test_non_finite_becomes_null(self):
         report = metrics.MetricsReport()

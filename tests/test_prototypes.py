@@ -299,6 +299,19 @@ class TestPrototypeSetJson:
         with pytest.raises(ValueError):
             PrototypeSet("source", 1, 2, {0: np.array([1.0, 1.0])})
 
+    @pytest.mark.parametrize("key, value", [("class_count", 2.7), ("class_count", "3"),
+                                            ("class_count", float("inf")), ("dim", 2.0)])
+    def test_count_that_is_not_an_integer_rejected(self, key, value):
+        doc = PrototypeSet("source", 3, 2, {0: np.array([1.0, 0.0])}).to_json_dict()
+        doc[key] = value
+        with pytest.raises(TypeError):
+            PrototypeSet.from_json_dict(doc)
+
+    def test_numpy_integer_counts_become_ints(self):
+        pset = PrototypeSet("source", np.int64(3), np.int32(2))
+        assert (pset.class_count, pset.dim) == (3, 2)
+        assert type(pset.class_count) is type(pset.dim) is int
+
     def test_matrix_requires_full_set(self):
         pset = PrototypeSet("source", 2, 2, {0: np.array([1.0, 0.0])})
         with pytest.raises(UninitializedPrototype):
