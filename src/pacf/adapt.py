@@ -32,13 +32,13 @@ can become pseudo labels.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import losses
-from .errors import DimensionMismatch, Diverged, check_fields, entry_reader, rule
+from .errors import (DimensionMismatch, Diverged, as_index, check_fields, entry_reader,
+                     numeric_array, rule)
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
 from .prototypes import PrototypeSet, initialize_prototypes, update_all
 from .synthbench import LabeledBatch
@@ -111,7 +111,7 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelParams":
-        params = cls(**{key: doc[key] for key in PARAM_KEYS})
+        params = cls(**{key: numeric_array(doc[key], key) for key in PARAM_KEYS})
         bad = params.nonfinite_keys()
         if bad:
             raise ValueError(f"{bad[0]} contains non-finite entries")
@@ -546,7 +546,7 @@ def state_from_checkpoint(doc: dict, path: str = "checkpoint"
                                                            student)),
         src_protos=entry("src_prototypes", prototypes, optional=True),
         tgt_protos=entry("tgt_prototypes", prototypes, optional=True),
-        step=entry("step", operator.index),
+        step=entry("step", as_index),
         rng=np.random.Generator(np.random.PCG64(config.seed)),
     )
     return state, config, doc.get("config_hash", "")

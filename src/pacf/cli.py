@@ -29,7 +29,7 @@ from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
-                         parse_int64, read_csv, save_dump, write_csv, write_text)
+                         load_relabeled, parse_int64, read_csv, save_dump, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -165,7 +165,7 @@ def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray 
     hidden_path = os.path.join(data_dir, HIDDEN_FILE)
     hidden = None
     if os.path.exists(hidden_path):
-        hidden = load_dump(hidden_path).labels
+        hidden = load_relabeled(hidden_path, target_path, target).labels
         if len(hidden) != len(target.labels):
             raise ParseError(f"{hidden_path} has {len(hidden)} data rows, but {target_path} "
                              f"has {len(target.labels)}")

@@ -85,14 +85,14 @@ def entry_reader(doc, path: str):
     return entry
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, Real) and not issubclass(kind, bool)
 
 
 def as_float(value) -> float:
     """A number but a boolean as a Python float, and an integer past float64 as the infinity
     of its sign, which no interval open at ``inf`` holds; anything else raises TypeError."""
-    if not _is_number(value):
+    if not _is_number_type(type(value)):
         raise TypeError(f"expected a number, got {value!r}")
     try:
         return float(value)
@@ -100,17 +100,35 @@ def as_float(value) -> float:
         return float("inf") if value > 0 else float("-inf")
 
 
+def as_index(value, name: str = "value") -> int:
+    """``operator.index(value)``, except that a boolean raises TypeError naming ``name``:
+    JSON's ``true`` is not the count 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def numeric_array(value, name: str) -> np.ndarray:
+    """A number, or rectangular nested lists of numbers at most two levels deep, as a float64
+    array. A string, boolean or null entry, or any other shape, raises TypeError naming
+    ``name``, and an integer past float64 ValueError."""
+    if _numeric_shape(value) is None:
+        raise TypeError(f"{name} must be a number or a rectangular list of numbers")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} has an entry past float64") from exc
+
+
 def _numeric_shape(value, depth: int = 2) -> tuple | None:
     """The shape of a number, ``()``, or of rectangular nested lists (or an array) of numbers
     at most ``depth`` levels deep; None for anything else, an empty list included."""
-    if hasattr(value, "tolist"):  # a numpy array or scalar
-        value = value.tolist()
-    if not isinstance(value, (list, tuple)):
-        return () if _is_number(value) else None
-    shapes = {_numeric_shape(v, depth - 1) for v in value} if depth > 0 else {None}
-    if len(shapes) != 1 or None in shapes:
+    # an object array keeps each leaf as it is, and holds a ragged list's rows as leaves
+    leaves = np.asarray(value, dtype=object)
+    kinds = set(map(type, leaves.ravel().tolist()))
+    if leaves.ndim > depth or not kinds or not all(map(_is_number_type, kinds)):
         return None
-    return (len(value), *shapes.pop())
+    return leaves.shape
 
 
 # the type of a field's default -> the type its values must have, and its name in an error

@@ -8,12 +8,11 @@ ratios against hidden labels, and a deterministic 2-D PCA projection.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, as_float, entry_reader
+from .errors import DimensionMismatch, InsufficientSamples, as_float, as_index, entry_reader
 from .mathcore import sigmoid
 
 
@@ -366,7 +365,7 @@ class MetricsReport:
 
         return cls(**{name: entry(key, scalar) for name, key in SCALARS.items()},
                    **{name: entry(name, untable) for name in TABLES},
-                   pseudo_count=entry("pseudo_count", operator.index, optional=True) or 0)
+                   pseudo_count=entry("pseudo_count", as_index, optional=True) or 0)
 
 
 def _json_float(x: float):

@@ -21,11 +21,10 @@ built on its first read, so a set that is only written never builds it.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector
+from .errors import (DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector,
+                     as_index, numeric_array)
 # cosine_similarity and l2_normalize are unused here; they stay importable from this
 # module only because perfbench/tracing.py patches them here to count prototype math calls
 from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
@@ -51,8 +50,8 @@ class PrototypeSet:
         if domain not in DOMAINS:
             raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
         self.domain = domain
-        self.class_count = operator.index(class_count)
-        self.dim = operator.index(dim)
+        self.class_count = as_index(class_count, "class_count")
+        self.dim = as_index(dim, "dim")
         if self.class_count < 1:
             raise ValueError("class_count must be >= 1")
         if self.dim < 1:
@@ -143,7 +142,8 @@ class PrototypeSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PrototypeSet":
-        return cls(doc["domain"], doc["class_count"], doc["dim"], doc["prototypes"])
+        return cls(doc["domain"], doc["class_count"], doc["dim"],
+                   {k: numeric_array(v, f"prototype {k}") for k, v in doc["prototypes"].items()})
 
 
 # --- batched kernels ----------------------------------------------------------

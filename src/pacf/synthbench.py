@@ -12,9 +12,11 @@ numpy's PCG64, so a given seed always reproduces the same datasets.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -315,3 +317,43 @@ def _load_well_formed_dump(path) -> LabeledBatch | None:
         return None
     return LabeledBatch(np.ascontiguousarray(features), np.ascontiguousarray(table["label"]),
                         np.ascontiguousarray(scores))
+
+
+def load_relabeled(path, base_path, base: LabeledBatch) -> LabeledBatch:
+    """``load_dump(path)``, for a dump that repeats the feature text of ``base``, the batch
+    :func:`load_dump` read from ``base_path``.
+
+    Both files are streamed line by line. Where ``path`` has ``base_path``'s header line
+    and each data line has its base line's text after the second comma, only the label and
+    score cells are parsed, and the batch holds ``base.features`` itself: identical text
+    parses to identical values, which the read of ``base`` has checked. Any other file (a
+    changed or reformatted feature cell, a blank line, another row count, a label or score
+    that fails to parse or is non-finite, a byte that is not UTF-8, an OSError) is read by
+    :func:`load_dump`, so either way the result, or the error, is :func:`load_dump`'s.
+    """
+    batch = _relabel(path, base_path, base)
+    return load_dump(path) if batch is None else batch
+
+
+def _relabel(path, base_path, base: LabeledBatch) -> LabeledBatch | None:
+    """The batch :func:`load_relabeled` describes, or None where ``path`` is not a relabeled
+    copy of ``base_path``."""
+    labels, scores = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh, \
+                open(base_path, "r", encoding="utf-8") as base_fh:
+            if fh.readline() != base_fh.readline():
+                return None
+            # a missing line is "", which, like a blank line, has too few cells to unpack
+            for line, base_line in zip_longest(fh, base_fh, fillvalue=""):
+                label, score, features = line.split(",", 2)
+                _, _, base_features = base_line.split(",", 2)
+                if features.removesuffix("\n") != base_features.removesuffix("\n"):
+                    return None
+                labels.append(parse_int64(label))
+                scores.append(float(score))
+                if not math.isfinite(scores[-1]):
+                    return None
+    except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
+        return None
+    return LabeledBatch(base.features, labels, scores)

@@ -8,7 +8,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from pacf import cli, experiment
+from pacf import cli, experiment, synthbench
 from pacf.adapt import TrainerConfig
 from pacf.errors import ConfigError, IoError, MissingArtifact, ParseError
 from pacf.synthbench import DomainShiftSpec, read_csv
@@ -510,6 +510,47 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {error}: ") and message in err
         assert os.listdir(tmp_path / "out") == []
+
+
+class TestDumpParses:
+    """``train`` and ``eval`` parse two dumps in full per data directory: the rows of
+    ``target_hidden.csv`` that repeat ``target.csv``'s feature text are not parsed again."""
+
+    @pytest.fixture()
+    def full_parses(self, monkeypatch):
+        """The dumps parsed in full so far, by numpy's reader or by ``read_csv``."""
+        parses = []
+
+        def counted(name):
+            original = getattr(synthbench, name)
+
+            def parse(path, *args):
+                result = original(path, *args)
+                if result is not None:
+                    parses.append(os.path.basename(path))
+                return result
+            monkeypatch.setattr(synthbench, name, parse)
+
+        counted("_load_well_formed_dump")
+        counted("read_csv")
+        return parses
+
+    def test_train_parses_two_dumps(self, trained_run, tmp_path, config_path, full_parses):
+        data, _ = trained_run
+        out = tmp_path / "again"
+        out.mkdir()
+        assert run(["train", "--config", config_path, "--data", str(data),
+                    "--out", str(out)]) == 0
+        assert full_parses == ["source.csv", "target.csv"]
+
+    def test_eval_parses_two_dumps(self, trained_run, tmp_path, full_parses):
+        data, run_dir = trained_run
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 0
+        assert full_parses == ["source.csv", "target.csv"]
+        assert (out / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
 
 
 class TestReport:

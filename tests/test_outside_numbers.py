@@ -95,6 +95,30 @@ def wider_prototypes(doc):
     protos["prototypes"] = {k: [*v, 0.0] for k, v in protos["prototypes"].items()}
 
 
+def set_param(model, key, edit):
+    """An edit of parameter ``key`` of ``model`` (``student`` or ``teacher``) to ``edit(value)``."""
+    def edit_doc(doc):
+        doc[model][key] = edit(doc[model][key])
+    return edit_doc
+
+
+def strings(values):
+    return [str(v) for v in values]
+
+
+def first_entry_true(values):
+    return [True, *values[1:]]
+
+
+def first_entry_big(rows):
+    return [[BIG, *rows[0][1:]], *rows[1:]]
+
+
+def string_prototype(doc):
+    protos = doc["src_prototypes"]["prototypes"]
+    protos["0"] = strings(protos["0"])
+
+
 def metrics_with(key, value):
     def edit(text):
         return json.dumps({**json.loads(text), key: value})
@@ -139,6 +163,28 @@ ROWS = {
         (checkpoint_with(wider_prototypes), "ParseError", "'tgt_prototypes'"),
     "eval pseudo_threshold 2^70 disables pseudo labels":
         (checkpoint_with(set_key("trainer_config", "pseudo_threshold", 2 ** 70)), None, None),
+    "eval student extractor_b of strings":
+        (checkpoint_with(set_param("student", "extractor_b", strings)), "ParseError",
+         "extractor_b"),
+    "eval teacher classifier_b entry true":
+        (checkpoint_with(set_param("teacher", "classifier_b", first_entry_true)), "ParseError",
+         "classifier_b"),
+    "eval student extractor_w entry 2^1100":
+        (checkpoint_with(set_param("student", "extractor_w", first_entry_big)), "ParseError",
+         "extractor_w"),
+    "eval prototype of strings":
+        (checkpoint_with(string_prototype), "ParseError", "prototype 0"),
+    "eval step true":
+        (checkpoint_with(lambda doc: doc.update(step=True)), "ParseError", "'step'"),
+    "eval prototype class_count true":
+        (checkpoint_with(set_key("src_prototypes", "class_count", True)), "ParseError",
+         "class_count must be an integer"),
+    "eval prototype dim true":
+        (checkpoint_with(set_key("tgt_prototypes", "dim", True)), "ParseError",
+         "dim must be an integer"),
+    "report pseudo_count true":
+        (artifact_with("metrics.json", metrics_with("pseudo_count", True)), "ParseError",
+         "'pseudo_count'"),
     "report pseudo_count Infinity":
         (artifact_with("metrics.json", metrics_with("pseudo_count", math.inf)), "ParseError",
          "'pseudo_count'"),
