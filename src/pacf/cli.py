@@ -29,7 +29,8 @@ from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
-                         load_relabeled, parse_int64, read_csv, save_dump, write_csv, write_text)
+                         load_relabeled, parse_int64, read_csv, save_dump, save_relabeled,
+                         write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -147,8 +148,7 @@ def cmd_gen(args, out: OutDir) -> str:
     save_dump(pair.source, out(SOURCE_FILE))
     save_dump(LabeledBatch(pair.target_features, np.full(n_t, -1, dtype=np.int64),
                            np.full(n_t, -1.0)), out(TARGET_FILE))
-    save_dump(LabeledBatch(pair.target_features, pair.target_hidden_labels,
-                           np.full(n_t, -1.0)), out(HIDDEN_FILE))
+    save_relabeled(out(HIDDEN_FILE), out(TARGET_FILE), pair.target_hidden_labels)
     return config_hash(effective)
 
 

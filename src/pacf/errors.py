@@ -67,13 +67,13 @@ def entry_reader(doc, path: str):
     JSON object, a missing key, or an entry ``parse`` rejects with a
     ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
     :class:`PacfError` raises :class:`ParseError` naming ``path`` (and the
-    key). An ``optional`` entry that is absent or empty gives None.
+    key). An ``optional`` entry that is absent or null gives None.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
 
     def entry(key: str, parse, optional: bool = False):
-        if optional and not doc.get(key):
+        if optional and doc.get(key) is None:
             return None
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
@@ -162,7 +162,8 @@ def check_fields(config, range_error=ValueError) -> None:
     except that a field with a ``shape`` also takes a rectangular list of numbers or of
     lists of numbers. A value of the right kind outside its interval or its ``choices``,
     an array of the wrong shape, or one with a non-finite entry, raises ``range_error``
-    naming the field. A float field's number is stored by :func:`as_float`, an array as float64."""
+    naming the field. A float field's number, and each entry of an array, is stored as
+    float64 by :func:`as_float`, so an integer past float64 is an infinity."""
     for f in fields(config):
         name, value, meta = f.name, getattr(config, f.name), f.metadata
         if isinstance(value, bool) != isinstance(f.default, bool):
@@ -176,7 +177,11 @@ def check_fields(config, range_error=ValueError) -> None:
             if _numeric_shape(value) is None:
                 raise TypeError(f"{name} must be {kind_name} or a ({dims}) array of numbers, "
                                 f"got {value!r}")
-            array = np.asarray(value, dtype=np.float64)
+            try:
+                array = np.asarray(value, dtype=np.float64)
+            except OverflowError:  # an integer past float64, which as_float makes infinite
+                leaves = np.asarray(value, dtype=object)
+                array = np.vectorize(as_float, otypes=[np.float64])(leaves)
             expected = tuple(getattr(config, dim) for dim in meta["shape"])
             if array.shape != expected:
                 raise range_error(f"{name} must have shape ({dims}) = {expected}, "

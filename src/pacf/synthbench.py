@@ -1,5 +1,6 @@
 """Synthetic domain-shift benchmark, feature dumps, and the CSV codec
-(:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through.
+(:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through;
+:func:`save_relabeled` copies the text of a dump it wrote.
 
 The generator models the two failure modes a detector meets after a domain
 change: every class-conditional distribution on the target is mean-shifted
@@ -25,7 +26,7 @@ from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseE
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
-CSV_BLOCK_ROWS = 1024  # rows that write_csv formats at a time
+CSV_BLOCK_ROWS = 1024  # rows that write_csv, and save_relabeled's labels, format at a time
 _INT64 = np.iinfo(np.int64)
 # every byte of a dump's data lines as save_dump writes them, and \r of other line ends
 _DUMP_BYTES = b"0123456789+-.e,\n\r"
@@ -251,6 +252,41 @@ def parse_int64(cell: str) -> int:
 def save_dump(batch: LabeledBatch, path) -> None:
     """Write a batch as CSV: header ``label,score,f0,...``; floats keep full precision."""
     write_csv(path, _dump_header(batch.dim), [batch.labels, batch.scores, *batch.features.T])
+
+
+def save_relabeled(path, base_path, labels) -> None:
+    """``save_dump`` of the dump at ``base_path`` with its labels replaced by ``labels``; the
+    write-side twin of :func:`load_relabeled`.
+
+    ``base_path`` is streamed line by line: its header line is written unchanged, and each
+    data line with its first cell replaced by the label, formatted by :func:`format_column`
+    as :func:`save_dump` formats it, and the text after the first comma copied. A data line
+    without a comma raises :class:`ParseError`, and a row count other than ``len(labels)``
+    :class:`DimensionMismatch`; either leaves ``path`` as it was.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+
+    def label_cells():
+        for start in range(0, len(labels), CSV_BLOCK_ROWS):
+            yield from format_column(labels[start:start + CSV_BLOCK_ROWS])
+
+    def relabeled(base):
+        yield base.readline()
+        for lineno, (label, line) in enumerate(zip_longest(label_cells(), base), start=2):
+            if label is None or line is None:
+                raise DimensionMismatch(f"{base_path} has a different number of data rows "
+                                        f"from the {len(labels)} labels")
+            comma = line.find(",")
+            if comma < 0:
+                raise ParseError(f"{base_path} line {lineno}: no label cell")
+            yield label + line[comma:]
+
+    try:
+        base = open(base_path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {base_path}: {exc}") from exc
+    with base:
+        write_text(path, relabeled(base))
 
 
 def _dump_header(dim: int) -> list[str]:

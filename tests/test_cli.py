@@ -6,6 +6,7 @@ import shutil
 from dataclasses import fields
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from pacf import cli, experiment, synthbench
@@ -551,6 +552,27 @@ class TestDumpParses:
                     "--data", str(data), "--out", str(out)]) == 0
         assert full_parses == ["source.csv", "target.csv"]
         assert (out / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
+
+
+class TestGenFormatsEachFloatOnce:
+    """``gen`` formats the float cells of ``source.csv`` and ``target.csv`` once each:
+    ``target_hidden.csv`` copies ``target.csv``'s text after each label."""
+
+    def test_float_cells_formatted(self, tmp_path, config_path, monkeypatch):
+        float_cells = []
+        original = synthbench.format_column
+
+        def counted(column):
+            cells = original(column)
+            if np.asarray(column).dtype.kind == "f":
+                float_cells.append(len(cells))
+            return cells
+        monkeypatch.setattr(synthbench, "format_column", counted)
+        assert run(["gen", "--config", config_path, "--out", str(tmp_path)]) == 0
+        bench = SMALL_CONFIG["benchmark"]
+        n_source = n_target = bench["class_count"] * bench["samples_per_class"]
+        # a row's float cells are its score and its features
+        assert sum(float_cells) == (n_source + n_target) * (1 + bench["dim"])
 
 
 class TestReport:

@@ -114,6 +114,10 @@ def first_entry_big(rows):
     return [[BIG, *rows[0][1:]], *rows[1:]]
 
 
+def big_first_entry_array(rows, columns):
+    return first_entry_big([[0.0] * columns for _ in range(rows)])
+
+
 def string_prototype(doc):
     protos = doc["src_prototypes"]["prototypes"]
     protos["0"] = strings(protos["0"])
@@ -137,6 +141,12 @@ ROWS = {
     "gen target_std_multiplier 2^1100":
         (config_with("benchmark", "target_std_multiplier", BIG), "InvalidSpec",
          "target_std_multiplier"),
+    "gen target_mean_shift entry 2^1100":
+        (config_with("benchmark", "target_mean_shift", big_first_entry_array(4, 8)),
+         "InvalidSpec", "target_mean_shift must have finite entries"),
+    "gen source_means entry 2^1100":
+        (config_with("benchmark", "source_means", big_first_entry_array(4, 8)), "InvalidSpec",
+         "source_means must have finite entries"),
     "train learning_rate 2^1100":
         (config_with("trainer", "learning_rate", BIG), "ConfigError", "learning_rate"),
     "train augment_noise 2^1100":
@@ -174,6 +184,12 @@ ROWS = {
          "extractor_w"),
     "eval prototype of strings":
         (checkpoint_with(string_prototype), "ParseError", "prototype 0"),
+    "eval src_prototypes false":
+        (checkpoint_with(lambda doc: doc.update(src_prototypes=False)), "ParseError",
+         "'src_prototypes'"),
+    "eval src_prototypes 0":
+        (checkpoint_with(lambda doc: doc.update(src_prototypes=0)), "ParseError",
+         "'src_prototypes'"),
     "eval step true":
         (checkpoint_with(lambda doc: doc.update(step=True)), "ParseError", "'step'"),
     "eval prototype class_count true":
@@ -184,6 +200,9 @@ ROWS = {
          "dim must be an integer"),
     "report pseudo_count true":
         (artifact_with("metrics.json", metrics_with("pseudo_count", True)), "ParseError",
+         "'pseudo_count'"),
+    "report pseudo_count false":
+        (artifact_with("metrics.json", metrics_with("pseudo_count", False)), "ParseError",
          "'pseudo_count'"),
     "report pseudo_count Infinity":
         (artifact_with("metrics.json", metrics_with("pseudo_count", math.inf)), "ParseError",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pacf.errors import EmptyBatch, InvalidSpec, IoError, ParseError
+from pacf.errors import DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError
 from pacf import synthbench
 from pacf.synthbench import (DomainShiftSpec, LabeledBatch, generate, load_dump,
                              load_relabeled, save_dump)
@@ -506,6 +506,65 @@ class TestLoadRelabeledMatchesLoadDump:
         path = tmp_path / "absent.csv"
         got = load_outcome(lambda p: load_relabeled(p, base_path, base), path)
         assert_same_load(got, load_outcome(load_dump, path))
+
+
+class TestSaveRelabeled:
+    """``save_relabeled`` over a ``save_dump``'d target file writes the bytes ``save_dump``
+    writes for the batch with the new labels."""
+
+    BLOCK = synthbench.CSV_BLOCK_ROWS
+
+    @staticmethod
+    def target(tmp_path, n, dim=3):
+        """target.csv of ``n`` rows, a negative zero and a subnormal among its features, and
+        the features."""
+        features = np.random.default_rng(n).normal(size=(n, dim)) * 1e3
+        features[0, 0] = -0.0
+        features[-1, -1] = 5e-324
+        path = tmp_path / "target.csv"
+        save_dump(LabeledBatch(features, np.full(n, -1), np.full(n, -1.0)), path)
+        return path, features
+
+    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3000])
+    def test_identical_to_save_dump(self, tmp_path, n):
+        base_path, features = self.target(tmp_path, n)
+        labels = np.arange(n) % 5 - 1  # -1, 0, ..., 3
+        labels[n // 2] = np.iinfo(np.int64).max
+        path = tmp_path / "target_hidden.csv"
+        synthbench.save_relabeled(path, base_path, labels)
+        save_dump(LabeledBatch(features, labels, np.full(n, -1.0)), tmp_path / "oracle.csv")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("labels", [2999, 3001])
+    def test_row_count_mismatch_writes_nothing(self, tmp_path, labels):
+        base_path, _ = self.target(tmp_path, 3000)
+        path = tmp_path / "target_hidden.csv"
+        synthbench.write_text(path, "old\n")
+        with pytest.raises(DimensionMismatch, match="different number of data rows from the"):
+            synthbench.save_relabeled(path, base_path, np.zeros(labels))
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv", "target_hidden.csv"]
+
+    def test_line_without_label_cell_writes_nothing(self, tmp_path):
+        base_path = tmp_path / "target.csv"
+        base_path.write_text(RELABEL_HIDDEN.decode().replace("\n0,", "\n0\n") + "\n")
+        with pytest.raises(ParseError, match="target.csv line 3: no label cell"):
+            synthbench.save_relabeled(tmp_path / "target_hidden.csv", base_path, [0, 1, 2, 3])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
+
+    def test_missing_base_raises_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            synthbench.save_relabeled(tmp_path / "hidden.csv", tmp_path / "absent.csv", [0])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory(self, tmp_path, traced_peak):
+        batch = generate(small_spec(dim=32, samples_per_class=2200)).source  # 6,600 rows
+        base_path = tmp_path / "target.csv"
+        save_dump(batch, base_path)
+        # one line and one block of label cells at a time: about 0.03x of the file's bytes
+        peak = traced_peak(synthbench.save_relabeled, tmp_path / "hidden.csv", base_path,
+                           batch.labels)
+        assert peak < 0.1 * base_path.stat().st_size
 
 
 class TestWriteText:
