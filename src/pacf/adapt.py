@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -161,6 +162,10 @@ class TrainerConfig:
 
     def effective_weights(self) -> LossWeights:
         """Loss weights with the ablation switches applied."""
+        return self._effective_weights
+
+    @cached_property  # a config is frozen, so its weights in effect are built once
+    def _effective_weights(self) -> LossWeights:
         w = self.weights
         return LossWeights(
             lambda_unsup=w.lambda_unsup,
@@ -201,6 +206,10 @@ class PseudoLabels:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+_NO_PSEUDO_LABELS = PseudoLabels(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                                 np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -295,13 +304,6 @@ def ema_update(teacher: ModelParams, student: ModelParams, rate: float) -> Model
                           for key, value in student.as_dict().items()})
 
 
-def _rows_of(rows, grad: np.ndarray, n: int) -> np.ndarray:
-    """An (n, width) gradient holding ``grad`` in ``rows`` and zero elsewhere."""
-    full = np.zeros((n, grad.shape[1]))
-    full[rows] = grad
-    return full
-
-
 def _backward(params: ModelParams, x: np.ndarray, emb: np.ndarray,
               grad_inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Parameter gradients from the gradients w.r.t. the logits and ``emb``, the embedding
@@ -317,10 +319,10 @@ def _backward(params: ModelParams, x: np.ndarray, emb: np.ndarray,
 
 def _cross_entropy_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray,
                              rows, labels: np.ndarray) -> LossValue:
-    """Mean CE of the linear classifier over ``rows``; the gradient is w.r.t. the logits."""
+    """Mean CE of the linear classifier over ``rows``; the gradient is w.r.t. their logits."""
     value, grad_logits = losses.cross_entropy_batch(
         emb[rows] @ params.classifier_w + params.classifier_b, probs[rows], labels)
-    return LossValue(value, grad_inputs={"logits": _rows_of(rows, grad_logits, len(emb))})
+    return LossValue(value, grad_inputs={"logits": grad_logits})
 
 
 def _adversarial_component(params: ModelParams, emb: np.ndarray, domain: np.ndarray) -> LossValue:
@@ -332,19 +334,19 @@ def _adversarial_component(params: ModelParams, emb: np.ndarray, domain: np.ndar
 
 
 def _pce_component(emb: np.ndarray, rows, labels: np.ndarray, geometry: Geometry) -> LossValue:
-    """Mean prototype cross entropy over ``rows``, whose prototype geometry is ``geometry``."""
+    """Mean prototype cross entropy over ``rows``, whose prototype geometry is ``geometry``;
+    the gradient is w.r.t. their embeddings."""
     value, grad_emb = losses.prototype_cross_entropy_batch(emb[rows], labels, geometry)
-    return LossValue(value, grad_inputs={"embeddings": _rows_of(rows, grad_emb, len(emb))})
+    return LossValue(value, grad_inputs={"embeddings": grad_emb})
 
 
 def _mut_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray, rows,
                    geometry: Geometry, kind: str) -> LossValue:
     """Mean regularizer coupling the linear distribution to both posteriors over ``rows``;
-    its gradient reaches the logits and, through both posteriors, the embeddings."""
+    its gradient reaches their logits and, through both posteriors, their embeddings."""
     value, grad_logits, grad_emb = losses.mutual_regularization_batch(
         emb[rows], probs[rows], geometry, kind, params.class_count)
-    return LossValue(value, grad_inputs={"logits": _rows_of(rows, grad_logits, len(emb)),
-                                         "embeddings": _rows_of(rows, grad_emb, len(emb))})
+    return LossValue(value, grad_inputs={"logits": grad_logits, "embeddings": grad_emb})
 
 
 def _check_finite(student: ModelParams, components: dict[str, LossValue], step: int,
@@ -385,8 +387,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     ys = source.labels[src_idx]
     xt = target_features[tgt_idx]
 
-    pseudo = PseudoLabels(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                          np.empty(0))
+    pseudo = _NO_PSEUDO_LABELS
     if not warmup:
         pseudo = generate_pseudo_labels(state.teacher, xt, config.pseudo_threshold)
 
@@ -399,6 +400,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     n_src = config.batch_size
     kept = n_src + pseudo.indices
     emb_kept = emb[kept]
+    rows = {"sup": slice(0, n_src), "unsup": kept, "pce": kept, "mut": kept}
 
     weights = config.effective_weights()
     components = {"sup": _cross_entropy_component(student, emb, probs, slice(0, n_src), ys)}
@@ -418,7 +420,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
             components["mut"] = _mut_component(student, emb, probs, kept, geometry,
                                                config.regularizer)
 
-    combined = total_loss(components, weights)
+    combined = total_loss(components, weights, rows=rows, row_count=len(emb))
     grads = {**combined.grad_params, **_backward(student, x, emb, combined.grad_inputs)}
     new_student = student.apply_gradients(grads, config.learning_rate)
     _check_finite(new_student, components, state.step + 1, warmup)

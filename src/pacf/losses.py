@@ -147,14 +147,11 @@ class Geometry(NamedTuple):
     norms: np.ndarray       # (n,) feature row norms
     cos: np.ndarray         # (n, 2C) cosine of each feature to each prototype
     tau: float              # the temperature of the posteriors
+    scores: np.ndarray      # (2n, C) cos / tau, one row per feature and set, source first
     posteriors: np.ndarray  # (n, 2, K = max(C, 2)) p_src(y|x) and p_tgt(y|x)
 
-    def scores(self) -> np.ndarray:
-        """Cosines over temperature, one row per feature and set: (2n, C), source first."""
-        return (self.cos / self.tau).reshape(2 * len(self.cos), -1)
-
     def chain(self, features: np.ndarray, grad_scores: np.ndarray) -> np.ndarray:
-        """The feature gradient of a batch mean from its gradient w.r.t. :meth:`scores`,
+        """The feature gradient of a batch mean from its gradient w.r.t. ``scores``,
         of which a sigmoid pair's second column is dropped (it has one score)."""
         n = len(features)
         grad_cos = grad_scores[:, :self.cos.shape[1] // 2].reshape(n, -1) / self.tau / n
@@ -171,9 +168,10 @@ def prototype_geometries(features: np.ndarray, src: PrototypeSet, tgt: Prototype
         raise DimensionMismatch(f"source/target prototype sets disagree on (classes, dim): "
                                 f"{(src.class_count, src.dim)} vs {(tgt.class_count, tgt.dim)}")
     matrix = np.vstack([src.matrix(), tgt.matrix()])
-    geometry = Geometry(matrix, *prototype_geometry(features, matrix), tau, None)
-    posteriors = class_probabilities(geometry.scores()).reshape(len(features), 2, -1)
-    return geometry._replace(posteriors=posteriors)
+    norms, cos = prototype_geometry(features, matrix)
+    scores = (cos / tau).reshape(2 * len(cos), -1)
+    posteriors = class_probabilities(scores).reshape(len(features), 2, -1)
+    return Geometry(matrix, norms, cos, tau, scores, posteriors)
 
 
 def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
@@ -185,7 +183,7 @@ def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
     """
     n = len(labels)
     nll, grad_scores = cross_entropy_rows(
-        log_probabilities(geometry.scores()), geometry.posteriors.reshape(2 * n, -1),
+        log_probabilities(geometry.scores), geometry.posteriors.reshape(2 * n, -1),
         np.repeat(labels, 2), geometry.posteriors.shape[2])
     return float(nll.reshape(n, 2).mean(axis=0).sum()), geometry.chain(features, grad_scores)
 
@@ -201,9 +199,11 @@ def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
         return (mathcore.kl_rows(a, b), clamped_log(a) - clamped_log(b) + 1.0,
                 np.where(b > CLAMP_EPS, -a / np.maximum(b, CLAMP_EPS), 0.0))
     if kind == "jsd":
-        m = 0.5 * (a + b)
-        return (mathcore.js_rows(a, b), 0.5 * (clamped_log(a) - clamped_log(m)),
-                0.5 * (clamped_log(b) - clamped_log(m)))
+        # mathcore.js_rows, bit for bit, with each log taken once and shared with d/da, d/db
+        log_m = clamped_log(0.5 * (a + b))
+        from_a, from_b = clamped_log(a) - log_m, clamped_log(b) - log_m
+        return (0.5 * (a * from_a).sum(axis=-1) + 0.5 * (b * from_b).sum(axis=-1),
+                0.5 * from_a, 0.5 * from_b)
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
 
@@ -240,7 +240,7 @@ def discriminator_bce_batch(features: np.ndarray, domain: np.ndarray, weight: np
     z = features @ weight + float(bias)
     value = float((mathcore.softplus(z) - domain * z).mean())
     dz = (mathcore.sigmoid(z) - domain) / len(domain)
-    return value, features.T @ dz, np.asarray(dz.sum()), -np.outer(dz, weight)
+    return value, features.T @ dz, np.asarray(dz.sum()), np.multiply.outer(-dz, weight)
 
 
 # --- per-instance operations: batch-of-one views of the kernels -------------------
@@ -345,18 +345,23 @@ _COMPONENT_WEIGHTS = {
 }
 
 
-def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> LossValue:
+def total_loss(components: Mapping[str, LossValue], weights: LossWeights, *,
+               rows: Mapping[str, object] | None = None, row_count: int = 0) -> LossValue:
     """Weighted sum of the objective terms.
 
     value = sup + lambda_unsup * unsup + lambda_dis * dis
               + lambda_pce * pce + lambda_mut * mut
 
-    Every gradient field combines linearly with the same weights, key by key;
-    missing components contribute nothing.
+    Every gradient field combines linearly with the same weights, key by key,
+    in component order; missing components contribute nothing. The
+    ``grad_inputs`` of a component named in ``rows`` cover only those rows of
+    a ``row_count``-row batch and add into them; the summed ``grad_inputs``
+    cover every row, zero where no term does.
     """
     unknown = set(components) - set(_COMPONENT_WEIGHTS)
     if unknown:
         raise ValueError(f"unknown loss components: {sorted(unknown)}")
+    rows = rows or {}
     value = 0.0
     grad_features: np.ndarray | None = None
     grad_params, grad_inputs = {}, {}
@@ -366,8 +371,17 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights) -> Los
         if loss.grad_features is not None:
             contrib = weight * loss.grad_features
             grad_features = contrib if grad_features is None else grad_features + contrib
-        for sums, grads in ((grad_params, loss.grad_params), (grad_inputs, loss.grad_inputs)):
-            for key, grad in grads.items():
-                contrib = weight * grad
-                sums[key] = contrib if key not in sums else sums[key] + contrib
+        for key, grad in loss.grad_params.items():
+            contrib = weight * grad
+            grad_params[key] = contrib if key not in grad_params else grad_params[key] + contrib
+        where = rows.get(name, slice(None))
+        for key, grad in loss.grad_inputs.items():
+            contrib = weight * grad
+            if key in grad_inputs:
+                grad_inputs[key][where] += contrib  # every sum here is a fresh array
+            elif name in rows:
+                grad_inputs[key] = np.zeros((row_count, contrib.shape[1]))
+                grad_inputs[key][where] = contrib
+            else:
+                grad_inputs[key] = contrib
     return LossValue(value, grad_features, grad_params, grad_inputs)

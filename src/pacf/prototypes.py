@@ -16,7 +16,8 @@ Initialization is that pass on an empty set; :func:`minibatch_prototypes`,
 
 A set keeps one read-only row per class, so an update shares the rows of
 the classes it did not touch; the stacked :meth:`PrototypeSet.matrix` is
-built on its first read, so a set that is only written never builds it.
+built on its first read, unless an update wrote every class, whose block
+of new rows is the matrix. A set that is only written never copies one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (DimensionMismatch, EmptyBatch, UninitializedPrototype, Zero
 # cosine_similarity and l2_normalize are unused here; they stay importable from this
 # module only because perfbench/tracing.py patches them here to count prototype math calls
 from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
-from .synthbench import MISSING, LabeledBatch
+from .synthbench import LabeledBatch
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
@@ -71,19 +72,20 @@ class PrototypeSet:
                                         f"expected ({self.dim},)")
             rows.append(vec)
         classes = np.array([int(k) for k in updates], dtype=np.int64)
-        return classes, np.array(rows) if rows else np.empty((0, self.dim))
-
-    def _store(self, classes: np.ndarray, rows: np.ndarray) -> None:
-        """Check new rows all at once, then store them as read-only views.
-
-        ``rows`` must be a fresh (len(classes), dim) array that no caller holds.
-        """
         outside = classes[(classes < 0) | (classes >= self.class_count)]
         if len(outside):
             raise ValueError(f"class id {int(outside[0])} outside 0..{self.class_count - 1}")
-        norms = _row_norms(rows)
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-        if len(off):
+        return classes, np.array(rows) if rows else np.empty((0, self.dim))
+
+    def _store(self, classes: np.ndarray, rows: np.ndarray) -> None:
+        """Check that new rows are unit norm all at once, then store them as read-only views.
+
+        ``classes`` must be ids of this set, and ``rows`` a fresh (len(classes), dim)
+        array that no caller holds.
+        """
+        if len(rows) and not np.abs(_row_norms(rows) - 1.0).max() <= UNIT_NORM_TOL:
+            norms = _row_norms(rows)
+            off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
             raise ValueError(f"prototype for class {int(classes[off[0]])} has norm "
                              f"{float(norms[off[0]])!r}, expected 1")
         rows.flags.writeable = False
@@ -122,8 +124,10 @@ class PrototypeSet:
         return self._matrix
 
     def _with_rows(self, classes: np.ndarray, rows: np.ndarray) -> "PrototypeSet":
-        out = PrototypeSet(self.domain, self.class_count, self.dim)
+        out = object.__new__(PrototypeSet)  # __init__'s checks passed for this set
+        out.domain, out.class_count, out.dim = self.domain, self.class_count, self.dim
         out._prototypes = dict(self._prototypes)
+        out._matrix = None
         out._store(classes, rows)
         return out
 
@@ -149,9 +153,17 @@ class PrototypeSet:
 # --- batched kernels ----------------------------------------------------------
 
 def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, dim) float batch of finite features and its n integer labels."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
+    if labels.shape != (len(features),):
+        raise DimensionMismatch("labels must match the feature count")
     # checked before the class sums, which would warn on a non-finite entry
-    batch = LabeledBatch(features, labels, np.full(np.shape(labels), float(MISSING)))
-    return batch.features, batch.labels
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    return features, labels
 
 
 def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
@@ -161,8 +173,8 @@ def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
     Labels outside 0..class_count-1 raise ValueError. The means are not
     normalized.
     """
-    outside = (labels < 0) | (labels >= class_count)
-    if np.any(outside):
+    if not (0 <= labels.min() and labels.max() < class_count):
+        outside = (labels < 0) | (labels >= class_count)
         raise ValueError(f"labels {sorted(set(labels[outside].tolist()))} "
                          f"outside 0..{class_count - 1}")
     counts = np.bincount(labels, minlength=class_count)
@@ -197,29 +209,34 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
     Initialized classes blend toward their mini-batch mean (see
     :func:`blend_rows`); uninitialized ones adopt the normalized mean. Absent
     classes are untouched and keep their rows, so an empty batch returns the
-    set unchanged.
+    set unchanged once its shapes are checked.
     """
-    if len(np.asarray(features)) == 0:
-        return pset
     features, labels = _check_batch(features, labels)
     if features.shape[1] != pset.dim:
         raise DimensionMismatch(
             f"feature dim {features.shape[1]} does not match prototype dim {pset.dim}")
+    if len(features) == 0:
+        return pset
     present, means = class_means(features, labels, pset.class_count)
-    classes = present.tolist()
     mean_norms = _row_norms(means)
-    bad = ~np.isfinite(mean_norms)
-    if np.any(bad):
-        raise ValueError(f"mini-batch mean for class {classes[int(np.argmax(bad))]} "
-                         "contains non-finite entries")
-    zero = mean_norms <= NORM_EPS
-    if np.any(zero):
-        raise ZeroVector(f"mini-batch mean for class {classes[int(np.argmax(zero))]} is zero")
-    stored = pset._prototypes
-    zero = np.zeros(pset.dim)
-    prev = np.array([stored.get(k, zero) for k in classes])
-    _, rows = blend_rows(prev, means, mean_norms, np.array([k in stored for k in classes]))
-    return pset._with_rows(present, rows)
+    if not (NORM_EPS < mean_norms.min() and mean_norms.max() < np.inf):
+        bad = ~np.isfinite(mean_norms)
+        if np.any(bad):
+            raise ValueError(f"mini-batch mean for class {present[np.argmax(bad)]} "
+                             "contains non-finite entries")
+        raise ZeroVector(f"mini-batch mean for class {present[np.argmax(mean_norms <= NORM_EPS)]}"
+                         " is zero")
+    if pset._matrix is not None:  # a full set: every class has a previous row
+        prev, initialized = pset._matrix[present], np.ones(len(present), dtype=bool)
+    else:
+        stored, zero, classes = pset._prototypes, np.zeros(pset.dim), present.tolist()
+        prev = np.array([stored.get(k, zero) for k in classes])
+        initialized = np.array([k in stored for k in classes])
+    _, rows = blend_rows(prev, means, mean_norms, initialized)
+    out = pset._with_rows(present, rows)
+    if len(present) == pset.class_count:  # present counts up from 0, so rows is the matrix
+        out._matrix = rows
+    return out
 
 
 def initialize_prototypes(batch: LabeledBatch, threshold: float, domain: str,

@@ -1,13 +1,16 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pacf import adapt, losses, mathcore
+from pacf import adapt, experiment, losses, mathcore
 from pacf.adapt import (ModelParams, TrainerConfig, ema_update,
                         forward, generate_pseudo_labels, init_state, predict,
                         run_experiment, train_run, train_step)
 from pacf.errors import DimensionMismatch, Diverged
 from pacf.losses import LossWeights
-from pacf.prototypes import PrototypeSet
+from pacf.prototypes import PrototypeSet, update_all
 from pacf.synthbench import LabeledBatch
 
 
@@ -627,6 +630,122 @@ class TestTrainStepGradientAgainstFiniteDifferences:
             assert np.linalg.norm(np.ravel(analytic) - numeric) / scale < 1e-4, key
 
 
+def reference_step(state, source, target, config):
+    """An adaptation step built from the public kernels, with the gradient assembly the
+    trainer had before it learned each term's rows: every term's gradients w.r.t. the
+    stacked logits and embeddings as zero-filled full-size arrays, summed with their
+    weights in component order, then chained by ``_backward``."""
+    rng, n = state.rng, config.batch_size
+    src_idx = rng.integers(0, len(source), size=n)
+    tgt_idx = rng.integers(0, len(target), size=n)
+    src_noise = rng.standard_normal((n, source.dim))
+    tgt_noise = rng.standard_normal((n, target.shape[1]))
+    xs, ys, xt = source.features[src_idx], source.labels[src_idx], target[tgt_idx]
+    pseudo = generate_pseudo_labels(state.teacher, xt, config.pseudo_threshold)
+    x = np.vstack([xs + config.augment_noise * src_noise, xt + config.augment_noise * tgt_noise])
+    student = state.student
+    emb, probs = forward(student, x)
+    kept = n + pseudo.indices
+    weights = config.effective_weights()
+
+    def full(rows, grad):
+        out = np.zeros((len(emb), grad.shape[1]))
+        out[rows] = grad
+        return out
+
+    def ce(rows, labels):
+        value, grad = losses.cross_entropy_batch(
+            emb[rows] @ student.classifier_w + student.classifier_b, probs[rows], labels)
+        return value, {}, {"logits": full(rows, grad)}
+
+    terms = {"sup": (1.0, *ce(slice(0, n), ys))}
+    if len(pseudo) and weights.lambda_unsup > 0.0:
+        terms["unsup"] = (weights.lambda_unsup, *ce(kept, pseudo.labels))
+    if weights.lambda_dis > 0.0:
+        value, grad_w, grad_b, grad_emb = losses.discriminator_bce_batch(
+            emb, np.repeat([0.0, 1.0], n), student.discriminator_w, student.discriminator_b)
+        terms["dis"] = (weights.lambda_dis, value,
+                        {"discriminator_w": grad_w, "discriminator_b": grad_b},
+                        {"embeddings": grad_emb})
+    if len(pseudo) and (weights.lambda_pce > 0.0 or weights.lambda_mut > 0.0):
+        geometry = losses.prototype_geometries(emb[kept], state.src_protos, state.tgt_protos,
+                                               config.tau)
+        if weights.lambda_pce > 0.0:
+            value, grad_emb = losses.prototype_cross_entropy_batch(emb[kept], pseudo.labels,
+                                                                   geometry)
+            terms["pce"] = (weights.lambda_pce, value, {}, {"embeddings": full(kept, grad_emb)})
+        if weights.lambda_mut > 0.0:
+            value, grad_logits, grad_emb = losses.mutual_regularization_batch(
+                emb[kept], probs[kept], geometry, config.regularizer, student.class_count)
+            terms["mut"] = (weights.lambda_mut, value, {},
+                            {"logits": full(kept, grad_logits),
+                             "embeddings": full(kept, grad_emb)})
+
+    total, grad_params, grad_inputs = 0.0, {}, {}
+    for weight, value, params_grads, input_grads in terms.values():
+        total += weight * value
+        for sums, grads in ((grad_params, params_grads), (grad_inputs, input_grads)):
+            for key, grad in grads.items():
+                sums[key] = weight * grad if key not in sums else sums[key] + weight * grad
+    grads = {**grad_params, **adapt._backward(student, x, emb, grad_inputs)}
+    new_student = student.apply_gradients(grads, config.learning_rate)
+    src_protos = update_all(state.src_protos, emb[:n], ys)
+    tgt_protos = state.tgt_protos
+    if len(pseudo):
+        tgt_protos = update_all(tgt_protos, emb[kept], pseudo.labels)
+    next_state = adapt.AdaptationState(
+        student=new_student, teacher=ema_update(state.teacher, new_student, config.ema_rate),
+        src_protos=src_protos, tgt_protos=tgt_protos, step=state.step + 1, rng=rng)
+    values = {name: term[1] for name, term in terms.items()}
+    return next_state, total, values, len(pseudo)
+
+
+def state_bytes(state):
+    """Every parameter and prototype row of ``state``, as bytes."""
+    parts = [getattr(params, key).tobytes() for params in (state.student, state.teacher)
+             for key in adapt.PARAM_KEYS]
+    for pset in (state.src_protos, state.tgt_protos):
+        parts += [pset.get(k).tobytes() for k in range(pset.class_count)]
+    return parts
+
+
+class TestTrainStepMatchesReferenceAssembly:
+    """``train_step`` adds each term's gradients into the rows that term covers; that must
+    give the bits of summing zero-filled full-size gradients, over ten steps of every
+    ablation and class count."""
+
+    @pytest.mark.parametrize("class_count", [1, 2, 8])
+    @pytest.mark.parametrize("enable_adversarial", [False, True])
+    @pytest.mark.parametrize("regularizer", ["jsd", "kl", "l2", "none"])
+    @pytest.mark.parametrize("enable_pce", [False, True])
+    def test_ten_steps_bitwise(self, enable_pce, regularizer, enable_adversarial, class_count):
+        config = tiny_config(enable_pce=enable_pce, regularizer=regularizer,
+                             enable_adversarial=enable_adversarial, pseudo_threshold=0.3,
+                             feature_dim=6)
+        source, target = tiny_data(seed=20 + class_count, n=60, classes=class_count)
+        rng = np.random.default_rng(21)
+        src, tgt = (PrototypeSet(domain, class_count, config.feature_dim,
+                                 {k: mathcore.l2_normalize(rng.normal(size=config.feature_dim))
+                                  for k in range(class_count)})
+                    for domain in ("source", "target"))
+        start = init_state(config, source.dim, class_count)
+        states = [adapt.AdaptationState(student=start.student, teacher=start.teacher.copy(),
+                                        src_protos=src, tgt_protos=tgt, step=0,
+                                        rng=np.random.Generator(np.random.PCG64(22)))
+                  for _ in range(2)]
+        kept = 0
+        for _ in range(10):
+            states[0], record = train_step(states[0], source, target, config)
+            states[1], total, values, pseudo_count = reference_step(states[1], source,
+                                                                    target, config)
+            assert state_bytes(states[0]) == state_bytes(states[1])
+            assert record.total == total and record.pseudo_count == pseudo_count
+            for name, value in values.items():
+                assert getattr(record, f"loss_{name}") == value
+            kept += pseudo_count
+        assert kept > 0
+
+
 class TestCheckpointRoundTrip:
     def test_round_trip(self):
         import json
@@ -644,6 +763,34 @@ class TestCheckpointRoundTrip:
                                   getattr(result.state.student, key))
         assert state.tgt_protos.initialized_classes() == \
             result.state.tgt_protos.initialized_classes()
+
+
+class TestEffectiveWeights:
+    """A config builds its weights in effect once; nothing else about it changes."""
+
+    def test_follows_replace(self):
+        config = TrainerConfig(weights=LossWeights(lambda_dis=0.25, lambda_pce=0.5))
+        assert config.effective_weights() is config.effective_weights()
+        assert config.effective_weights() == config.weights
+        baseline = experiment.baseline_config(config)
+        assert baseline.effective_weights() == LossWeights(lambda_dis=0.25, lambda_pce=0.0,
+                                                           lambda_mut=0.0)
+        no_dis = replace(baseline, enable_adversarial=False, regularizer="kl")
+        assert no_dis.effective_weights() == LossWeights(lambda_dis=0.0, lambda_pce=0.0)
+        assert config.effective_weights() == config.weights  # the original is untouched
+
+    def test_equality_hash_and_documents_unchanged(self):
+        used, fresh = TrainerConfig(seed=3), TrainerConfig(seed=3)
+        source, target = tiny_data()
+        state = run_experiment(source, target, tiny_config()).state
+        before = (hash(used), repr(used), used.to_json_dict(),
+                  json.dumps(adapt.checkpoint_to_json_dict(state, used, "h"), sort_keys=True))
+        used.effective_weights()
+        after = (hash(used), repr(used), used.to_json_dict(),
+                 json.dumps(adapt.checkpoint_to_json_dict(state, used, "h"), sort_keys=True))
+        assert after == before
+        assert used == fresh and hash(used) == hash(fresh)
+        assert TrainerConfig.from_json_dict(used.to_json_dict()) == used
 
 
 class TestTrainerConfigRanges:

@@ -357,6 +357,79 @@ class TestTotalLoss:
             LossWeights(lambda_dis=-0.1)
 
 
+class TestJensenShannonPairKernel:
+    """``pair_divergence("jsd")`` takes three logs; its values and gradients are the bits of
+    ``mathcore.js_rows`` and of the gradient formula with every log taken again."""
+
+    def rows(self):
+        rng = np.random.default_rng(31)
+        a = rng.dirichlet(np.ones(5), size=(12, 1))
+        b = rng.dirichlet(np.ones(5), size=(12, 2))
+        a[0, 0, :2] = 0.0                       # exact zeros
+        b[1, 1, 3] = 0.0
+        a[2, 0, 1] = mathcore.CLAMP_EPS / 7.0   # below the clamp
+        b[3, 0, 4] = mathcore.CLAMP_EPS / 3.0
+        a[4, 0] = b[4, 1] = np.eye(5)[2]        # a one-hot pair on both sides
+        b[5, 0] = 1e-300                        # a subnormal-scale row
+        return a, b
+
+    def test_bitwise_equal_to_js_rows_and_clamped_gradients(self):
+        a, b = self.rows()
+        values, grad_a, grad_b = losses.pair_divergence("jsd", a, b)
+        m = 0.5 * (a + b)
+        assert values.tobytes() == mathcore.js_rows(a, b).tobytes()
+        expected_a = 0.5 * (mathcore.clamped_log(a) - mathcore.clamped_log(m))
+        expected_b = 0.5 * (mathcore.clamped_log(b) - mathcore.clamped_log(m))
+        assert grad_a.tobytes() == expected_a.tobytes()
+        assert grad_b.tobytes() == expected_b.tobytes()
+
+    def test_symmetric_bitwise(self):
+        a, b = self.rows()
+        b = b[:, :1]
+        assert (losses.pair_divergence("jsd", a, b)[0].tobytes()
+                == losses.pair_divergence("jsd", b, a)[0].tobytes())
+
+
+class TestTotalLossRows:
+    """A term's gradients for some rows of the batch add into those rows only; the sums
+    equal the weighted sums of zero-filled full-size gradients, term by term."""
+
+    def test_matches_zero_filled_sums(self):
+        rng = np.random.default_rng(32)
+        n, kept = 10, np.array([5, 7, 8])
+        rows = {"sup": slice(0, 5), "unsup": kept, "pce": kept, "mut": kept}
+        components = {
+            "sup": LossValue(0.5, grad_inputs={"logits": rng.normal(size=(5, 3))}),
+            "unsup": LossValue(0.25, grad_inputs={"logits": rng.normal(size=(3, 3))}),
+            "dis": LossValue(0.75, grad_params={"w": rng.normal(size=4)},
+                             grad_inputs={"embeddings": rng.normal(size=(n, 4))}),
+            "pce": LossValue(1.5, grad_inputs={"embeddings": rng.normal(size=(3, 4))}),
+            "mut": LossValue(0.125, grad_inputs={"logits": rng.normal(size=(3, 3)),
+                                                 "embeddings": rng.normal(size=(3, 4))}),
+        }
+        weights = LossWeights(lambda_unsup=0.5, lambda_dis=0.1, lambda_pce=2.0, lambda_mut=0.3)
+        before = {name: {k: g.copy() for k, g in c.grad_inputs.items()}
+                  for name, c in components.items()}
+        combined = total_loss(components, weights, rows=rows, row_count=n)
+
+        def full(name, grad):
+            out = np.zeros((n, grad.shape[1]))
+            out[rows.get(name, slice(None))] = grad
+            return out
+
+        expected = total_loss({name: LossValue(c.value, grad_params=c.grad_params,
+                                               grad_inputs={k: full(name, g) for k, g
+                                                            in c.grad_inputs.items()})
+                               for name, c in components.items()}, weights)
+        assert combined.value == expected.value
+        assert combined.grad_params["w"].tobytes() == expected.grad_params["w"].tobytes()
+        for key in ("logits", "embeddings"):
+            assert combined.grad_inputs[key].tobytes() == expected.grad_inputs[key].tobytes()
+        for name, c in components.items():  # the terms' own gradients are left as they were
+            for key, grad in c.grad_inputs.items():
+                assert grad.tobytes() == before[name][key].tobytes()
+
+
 class TestLossWeightRanges:
     """Each weight's boundary values, the non-finite numbers and the error type."""
 

@@ -253,6 +253,63 @@ class TestBatchedUpdateAgainstPerClassOracle:
         with pytest.raises(DimensionMismatch):
             update_all(self.make_set(), [[1.0, 0.0, 0.0]], [0])
 
+    @pytest.mark.parametrize("features, labels", [([], [1, 2]), (np.empty((0, 5)), [7]),
+                                                  (np.empty((0, 5)), []), (np.empty(0), [])])
+    def test_empty_batch_shapes_checked(self, features, labels):
+        with pytest.raises(DimensionMismatch):
+            update_all(self.make_set(), features, labels)
+
+    # (features, labels) -> the error type and message update_all gives; all but the
+    # label-count message are those of the per-class implementation before this one
+    ERRORS = {
+        "1-D features": (([1.0, 2.0], [0, 1]), DimensionMismatch,
+                         "features must be 2-D, got shape (2,)"),
+        "3-D features": ((np.ones((1, 1, 2)), [0]), DimensionMismatch,
+                         "features must be 2-D, got shape (1, 1, 2)"),
+        "fewer labels": (([[1.0, 2.0], [3.0, 4.0]], [0]), DimensionMismatch,
+                         "labels must match the feature count"),
+        "2-D labels": (([[1.0, 2.0]], [[0]]), DimensionMismatch,
+                       "labels must match the feature count"),
+        "nan feature": (([[np.nan, 1.0]], [0]), ValueError,
+                        "features contain non-finite entries"),
+        "infinite feature of another dim": (([[np.inf, 1.0, 2.0]], [0]), ValueError,
+                                            "features contain non-finite entries"),
+        "another dim": (([[1.0, 0.0, 0.0]], [0]), DimensionMismatch,
+                        "feature dim 3 does not match prototype dim 2"),
+        "labels out of range": ((np.ones((4, 2)), [0, 5, -1, 3]), ValueError,
+                                "labels [-1, 3, 5] outside 0..2"),
+        "zero mean": (([[1.0, 2.0], [-1.0, -2.0]], [2, 2]), ZeroVector,
+                      "mini-batch mean for class 2 is zero"),
+        "finite batch, overflowing mean": (([[1.0, 1.0], [1e308, 1.0], [1e308, 1.0]],
+                                            [0, 1, 1]), ValueError,
+                                           "mini-batch mean for class 1 contains non-finite "
+                                           "entries"),
+        "zero mean before an overflowing one": (([[0.0, 0.0], [1e308, 1.0], [1e308, 1.0]],
+                                                 [0, 2, 2]), ValueError,
+                                                "mini-batch mean for class 2 contains "
+                                                "non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_error_type_and_message(self, case):
+        (features, labels), error, message = self.ERRORS[case]
+        with np.errstate(over="ignore"), pytest.raises(error) as caught:
+            update_all(self.make_set(), features, labels)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_derived_sets_share_the_checked_fields(self):
+        pset = self.make_set()
+        updated = update_all(pset, [[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]], [0, 1, 2])
+        assert (updated.domain, updated.class_count, updated.dim) == ("source", 3, 2)
+        # every class was written, so the new rows are the matrix, read-only
+        assert not updated.matrix().flags.writeable
+        np.testing.assert_array_equal(updated.matrix(),
+                                      np.stack([updated.get(k) for k in range(3)]))
+        again = update_all(updated, [[1.0, -1.0]], [1])
+        assert again.get(0) is updated.get(0) and again.get(2) is updated.get(2)
+        np.testing.assert_array_equal(again.matrix(), np.stack([again.get(k) for k in range(3)]))
+
 
 class TestPrototypeMatrix:
     def full_set(self):
