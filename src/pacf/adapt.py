@@ -214,7 +214,8 @@ _NO_PSEUDO_LABELS = PseudoLabels(np.empty(0, dtype=np.int64), np.empty(0, dtype=
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Unweighted per-term loss values for one step plus the weighted total."""
+    """Unweighted per-term loss values for one step, ``loss_<t>`` for each ``t`` of
+    ``losses.TERMS`` in order, plus the weighted total."""
 
     step: int
     loss_sup: float
@@ -403,9 +404,9 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     rows = {"sup": slice(0, n_src), "unsup": kept, "pce": kept, "mut": kept}
 
     weights = config.effective_weights()
-    components = {"sup": _cross_entropy_component(student, emb, probs, slice(0, n_src), ys)}
+    components = {"sup": _cross_entropy_component(student, emb, probs, rows["sup"], ys)}
     if len(pseudo) and weights.lambda_unsup > 0.0:
-        components["unsup"] = _cross_entropy_component(student, emb, probs, kept,
+        components["unsup"] = _cross_entropy_component(student, emb, probs, rows["unsup"],
                                                        pseudo.labels)
     if not warmup and weights.lambda_dis > 0.0:
         domain = np.repeat([0.0, 1.0], n_src)
@@ -415,9 +416,9 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
         geometry = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos,
                                                config.tau)
         if weights.lambda_pce > 0.0:
-            components["pce"] = _pce_component(emb, kept, pseudo.labels, geometry)
+            components["pce"] = _pce_component(emb, rows["pce"], pseudo.labels, geometry)
         if weights.lambda_mut > 0.0:
-            components["mut"] = _mut_component(student, emb, probs, kept, geometry,
+            components["mut"] = _mut_component(student, emb, probs, rows["mut"], geometry,
                                                config.regularizer)
 
     combined = total_loss(components, weights, rows=rows, row_count=len(emb))
@@ -440,7 +441,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
 
     record = StepRecord(step=next_state.step, total=combined.value, pseudo_count=len(pseudo),
                         **{f"loss_{name}": components[name].value if name in components else 0.0
-                           for name in ("sup", "unsup", "dis", "pce", "mut")})
+                           for name in losses.TERMS})
     return next_state, record
 
 
@@ -500,6 +501,9 @@ def run_experiment(source: LabeledBatch, target_features, config: TrainerConfig)
                                 f"match the source dim {source.dim}")
     if len(source.labels) == 0 or source.labels.max() < 0:
         raise ValueError("cannot infer class count from an unlabeled source batch")
+    if source.labels.min() < 0:  # numpy would train a label of -1 as the last class
+        raise ValueError(f"source row {int(np.argmin(source.labels)) + 1} has label "
+                         f"{source.labels.min()}; every source row needs a class id >= 0")
     state = init_state(config, source.dim, int(source.labels.max()) + 1)
     state, warmup_records = warmup_run(state, source, target_features, config)
     state = initialize_from_warmup(state, source, target_features, config)

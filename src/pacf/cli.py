@@ -29,8 +29,8 @@ from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
-                         load_relabeled, parse_int64, read_csv, save_dump, save_relabeled,
-                         write_csv, write_text)
+                         load_relabeled, parse_finite, parse_int64, read_csv, save_dump,
+                         save_relabeled, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -208,6 +208,7 @@ def cmd_train(args, out: OutDir) -> str:
     config = trainer_from_config(effective)
     cfg_hash = config_hash(effective)
     source, target, hidden = _load_data_dir(args.data)
+    metrics.check_evaluable(len(source), len(target), config.feature_dim)  # before training
     # a diverging run ends in one Diverged line; numpy's overflow warnings on
     # the way there would only add lines before it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -246,10 +247,7 @@ def _read_scatter_row(cells: list[str]) -> list[float]:
 
 
 def _read_projection_row(cells: list[str]) -> tuple[tuple[float, float], int]:
-    point = float(cells[0]), float(cells[1])
-    if not all(map(math.isfinite, point)):
-        raise ValueError("non-finite value")
-    return point, parse_int64(cells[2])
+    return (parse_finite(cells[0]), parse_finite(cells[1])), parse_int64(cells[2])
 
 
 def cmd_report(args, out: OutDir) -> str:

@@ -108,16 +108,27 @@ def as_index(value, name: str = "value") -> int:
     return operator.index(value)
 
 
+def class_key(key: str) -> int:
+    """A JSON object key that names a class, as an int. Only the canonical decimal that
+    ``str`` writes is one: ``"01"``, ``" 1"``, ``"+1"`` or ``"1_0"`` raises ValueError, so no
+    class has two spellings."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError(f"class id {key!r} is not written as a canonical decimal")
+    return value
+
+
 def numeric_array(value, name: str) -> np.ndarray:
     """A number, or rectangular nested lists of numbers at most two levels deep, as a float64
-    array. A string, boolean or null entry, or any other shape, raises TypeError naming
-    ``name``, and an integer past float64 ValueError."""
+    array, each entry converted as :func:`as_float` converts it, so an integer past float64 is
+    an infinity. A string, boolean or null entry, or any other shape, raises TypeError naming
+    ``name``."""
     if _numeric_shape(value) is None:
         raise TypeError(f"{name} must be a number or a rectangular list of numbers")
     try:
         return np.asarray(value, dtype=np.float64)
-    except OverflowError as exc:
-        raise ValueError(f"{name} has an entry past float64") from exc
+    except OverflowError:
+        return np.vectorize(as_float, otypes=[np.float64])(np.asarray(value, dtype=object))
 
 
 def _numeric_shape(value, depth: int = 2) -> tuple | None:
@@ -162,8 +173,8 @@ def check_fields(config, range_error=ValueError) -> None:
     except that a field with a ``shape`` also takes a rectangular list of numbers or of
     lists of numbers. A value of the right kind outside its interval or its ``choices``,
     an array of the wrong shape, or one with a non-finite entry, raises ``range_error``
-    naming the field. A float field's number, and each entry of an array, is stored as
-    float64 by :func:`as_float`, so an integer past float64 is an infinity."""
+    naming the field. A float field's number is stored by :func:`as_float`, and an array by
+    :func:`numeric_array`, so an integer past float64 is an infinity."""
     for f in fields(config):
         name, value, meta = f.name, getattr(config, f.name), f.metadata
         if isinstance(value, bool) != isinstance(f.default, bool):
@@ -177,11 +188,7 @@ def check_fields(config, range_error=ValueError) -> None:
             if _numeric_shape(value) is None:
                 raise TypeError(f"{name} must be {kind_name} or a ({dims}) array of numbers, "
                                 f"got {value!r}")
-            try:
-                array = np.asarray(value, dtype=np.float64)
-            except OverflowError:  # an integer past float64, which as_float makes infinite
-                leaves = np.asarray(value, dtype=object)
-                array = np.vectorize(as_float, otypes=[np.float64])(leaves)
+            array = numeric_array(value, name)
             expected = tuple(getattr(config, dim) for dim in meta["shape"])
             if array.shape != expected:
                 raise range_error(f"{name} must have shape ({dims}) = {expected}, "

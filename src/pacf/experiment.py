@@ -75,9 +75,11 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     module docstring), the proxy A-distance on the raw ones; mean shift uses
     normalized class means. The per-class target tables and the TP ratio are
     built from the rows whose hidden label is known (not -1); absent hidden
-    labels are all unknown, which leaves the label-free diagnostics only.
+    labels are all unknown, which leaves the label-free diagnostics only. Too few rows or
+    embedding dims for the diagnostics raise :class:`InsufficientSamples` before any runs.
     """
     target_features = np.asarray(target_features, dtype=np.float64)
+    metrics.check_evaluable(len(source), len(target_features), state.student.feature_dim)
     # a degenerate student ends in one error line below, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         src_emb, _ = adapt.forward(state.student, source.features)

@@ -45,6 +45,10 @@ from .mathcore import CLAMP_EPS, clamped_log, nonzero_norms
 from .prototypes import PrototypeSet
 
 
+# the objective's terms, in order: a term t is weighted by LossWeights.lambda_<t>, and sup by 1
+TERMS = ("sup", "unsup", "dis", "pce", "mut")
+
+
 @dataclass(frozen=True)
 class LossValue:
     value: float
@@ -281,12 +285,7 @@ def regularizer_variant(p_lin, p_src, p_tgt, kind: str) -> LossValue:
     ``grad_inputs`` carries d/d p_lin, d/d p_src and d/d p_tgt so the caller
     can chain each branch through its own softmax.
     """
-    p_lin = mathcore.as_vector(p_lin)
-    p_src = mathcore.as_vector(p_src)
-    p_tgt = mathcore.as_vector(p_tgt)
-    if not (p_lin.shape == p_src.shape == p_tgt.shape):
-        raise DimensionMismatch(
-            f"distribution length mismatch: {p_lin.shape}, {p_src.shape}, {p_tgt.shape}")
+    p_lin, p_src, p_tgt = mathcore.as_vectors(p_lin, p_src, p_tgt)
     values, g_lin, g_post = regularizer_rows(kind, p_lin[None], np.stack([p_src, p_tgt])[None])
     return LossValue(
         value=float(values[0]),
@@ -321,10 +320,7 @@ def domain_adversarial_loss(x, domain_label: int, discriminator_w,
     standard discriminator gradient; ``grad_features`` is the feature gradient
     with the gradient-reversal sign flip already applied.
     """
-    x = mathcore.as_vector(x)
-    w = mathcore.as_vector(discriminator_w)
-    if x.shape != w.shape:
-        raise DimensionMismatch(f"feature/discriminator dims differ: {x.shape} vs {w.shape}")
+    x, w = mathcore.as_vectors(x, discriminator_w)
     if domain_label not in (0, 1):
         raise ValueError(f"domain label must be 0 or 1, got {domain_label!r}")
     value, grad_w, grad_b, grad_features = discriminator_bce_batch(
@@ -334,15 +330,6 @@ def domain_adversarial_loss(x, domain_label: int, discriminator_w,
         grad_features=grad_features[0],
         grad_params={"discriminator_w": grad_w, "discriminator_b": grad_b},
     )
-
-
-_COMPONENT_WEIGHTS = {
-    "sup": lambda w: 1.0,
-    "unsup": lambda w: w.lambda_unsup,
-    "dis": lambda w: w.lambda_dis,
-    "pce": lambda w: w.lambda_pce,
-    "mut": lambda w: w.lambda_mut,
-}
 
 
 def total_loss(components: Mapping[str, LossValue], weights: LossWeights, *,
@@ -358,7 +345,7 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights, *,
     a ``row_count``-row batch and add into them; the summed ``grad_inputs``
     cover every row, zero where no term does.
     """
-    unknown = set(components) - set(_COMPONENT_WEIGHTS)
+    unknown = set(components) - set(TERMS)
     if unknown:
         raise ValueError(f"unknown loss components: {sorted(unknown)}")
     rows = rows or {}
@@ -366,7 +353,7 @@ def total_loss(components: Mapping[str, LossValue], weights: LossWeights, *,
     grad_features: np.ndarray | None = None
     grad_params, grad_inputs = {}, {}
     for name, loss in components.items():
-        weight = _COMPONENT_WEIGHTS[name](weights)
+        weight = 1.0 if name == "sup" else getattr(weights, f"lambda_{name}")
         value += weight * loss.value
         if loss.grad_features is not None:
             contrib = weight * loss.grad_features

@@ -33,6 +33,16 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
+def as_vectors(*values) -> tuple[np.ndarray, ...]:
+    """Each of ``values`` by :func:`as_vector`; :class:`DimensionMismatch` unless all have
+    one length."""
+    vectors = tuple(map(as_vector, values))
+    if len({len(v) for v in vectors}) > 1:
+        raise DimensionMismatch("vectors of unequal lengths: "
+                                + " vs ".join(str(len(v)) for v in vectors))
+    return vectors
+
+
 def clamped_log(p: np.ndarray) -> np.ndarray:
     """Elementwise natural log with the argument floored at ``CLAMP_EPS``."""
     return np.log(np.maximum(p, CLAMP_EPS))
@@ -56,10 +66,7 @@ def nonzero_norms(rows: np.ndarray, message: str) -> np.ndarray:
 
 
 def cosine_similarity(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cosine similarity needs equal dims, got {a.shape} vs {b.shape}")
+    a, b = as_vectors(a, b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na <= NORM_EPS or nb <= NORM_EPS:
@@ -94,10 +101,7 @@ def softmax_vjp(probs, grad_probs) -> np.ndarray:
 
     For p = softmax(z):  dL/dz_i = p_i * (g_i - sum_j p_j g_j).
     """
-    p = as_vector(probs)
-    g = as_vector(grad_probs)
-    if p.shape != g.shape:
-        raise DimensionMismatch(f"dimension mismatch: {p.shape} vs {g.shape}")
+    p, g = as_vectors(probs, grad_probs)
     return softmax_vjp_rows(p, g)
 
 
@@ -132,10 +136,7 @@ def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def kl_divergence(q, p) -> float:
     """KL(q || p) in nats; both arguments floored at CLAMP_EPS inside the logs."""
-    q = as_vector(q)
-    p = as_vector(p)
-    if q.shape != p.shape:
-        raise DimensionMismatch(f"KL needs equal lengths, got {q.shape} vs {p.shape}")
+    q, p = as_vectors(q, p)
     return float(kl_rows(q, p))
 
 
@@ -144,10 +145,7 @@ def js_divergence(p, q) -> float:
 
     Evaluated symmetrically, so js(p, q) == js(q, p) bitwise.
     """
-    p = as_vector(p)
-    q = as_vector(q)
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"JS needs equal lengths, got {p.shape} vs {q.shape}")
+    p, q = as_vectors(p, q)
     return float(js_rows(p, q))
 
 

@@ -12,8 +12,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples, as_float, as_index, entry_reader
+from .errors import (DimensionMismatch, InsufficientSamples, as_float, as_index, class_key,
+                     entry_reader)
 from .mathcore import sigmoid
+
+
+def check_domain_rows(source_rows: int, target_rows: int) -> None:
+    """The proxy A-distance's rule: at least 20 rows in each domain."""
+    if source_rows < 20 or target_rows < 20:
+        raise InsufficientSamples(
+            f"need >= 20 samples per domain, got {source_rows} and {target_rows}")
+
+
+def check_projection_shape(shape: tuple) -> None:
+    """The 2-D projection's rule: 2-D data with dim >= 2 and at least 3 rows."""
+    if len(shape) != 2 or shape[1] < 2:
+        raise InsufficientSamples(f"need 2-D data with dim >= 2, got shape {shape}")
+    if shape[0] < 3:
+        raise InsufficientSamples(f"need at least 3 samples, got {shape[0]}")
+
+
+def check_evaluable(source_rows: int, target_rows: int, feature_dim: int) -> None:
+    """Both rules above, for an evaluation of ``feature_dim``-dim embeddings of these rows."""
+    check_domain_rows(source_rows, target_rows)
+    check_projection_shape((target_rows, feature_dim))
 
 
 def intra_class_variance(features, labels) -> dict[int, float]:
@@ -134,9 +156,7 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     xt = np.asarray(target_embeddings, dtype=np.float64)
     if xs.ndim != 2 or xt.ndim != 2 or xs.shape[1] != xt.shape[1]:
         raise DimensionMismatch("embeddings must be 2-D with a common dim")
-    if len(xs) < 20 or len(xt) < 20:
-        raise InsufficientSamples(
-            f"need >= 20 samples per domain, got {len(xs)} and {len(xt)}")
+    check_domain_rows(len(xs), len(xt))
     if not (np.isfinite(xs).all() and np.isfinite(xt).all()):
         return float("nan")
     rng = np.random.Generator(np.random.PCG64(0))
@@ -281,10 +301,7 @@ def pca_project_2d(features) -> np.ndarray:
     positive, so the projection is deterministic.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise InsufficientSamples(f"need 2-D data with dim >= 2, got shape {x.shape}")
-    if len(x) < 3:
-        raise InsufficientSamples(f"need at least 3 samples, got {len(x)}")
+    check_projection_shape(x.shape)
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -357,7 +374,7 @@ class MetricsReport:
         entry = entry_reader(doc, path)
 
         def untable(values: dict) -> dict[int, float]:
-            return {int(k): as_float(v) for k, v in values.items()
+            return {class_key(k): as_float(v) for k, v in values.items()
                     if k != "avg" and v is not None}
 
         def scalar(v) -> float:

@@ -25,11 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector,
-                     as_index, numeric_array)
+                     as_index, class_key, numeric_array)
 # cosine_similarity and l2_normalize are unused here; they stay importable from this
 # module only because perfbench/tracing.py patches them here to count prototype math calls
-from .mathcore import NORM_EPS, as_vector, cosine_similarity, l2_normalize  # noqa: F401
-from .synthbench import LabeledBatch
+from .mathcore import NORM_EPS, as_vectors, cosine_similarity, l2_normalize  # noqa: F401
+from .synthbench import LabeledBatch, check_batch
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
@@ -147,24 +147,11 @@ class PrototypeSet:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PrototypeSet":
         return cls(doc["domain"], doc["class_count"], doc["dim"],
-                   {k: numeric_array(v, f"prototype {k}") for k, v in doc["prototypes"].items()})
+                   {class_key(k): numeric_array(v, f"prototype {k}")
+                    for k, v in doc["prototypes"].items()})
 
 
 # --- batched kernels ----------------------------------------------------------
-
-def _check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """An (n, dim) float batch of finite features and its n integer labels."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
-    if labels.shape != (len(features),):
-        raise DimensionMismatch("labels must match the feature count")
-    # checked before the class sums, which would warn on a non-finite entry
-    if not np.isfinite(features).all():
-        raise ValueError("features contain non-finite entries")
-    return features, labels
-
 
 def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +198,8 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
     classes are untouched and keep their rows, so an empty batch returns the
     set unchanged once its shapes are checked.
     """
-    features, labels = _check_batch(features, labels)
+    # checked before the class sums, which would warn on a non-finite entry
+    features, labels = check_batch(features, labels)
     if features.shape[1] != pset.dim:
         raise DimensionMismatch(
             f"feature dim {features.shape[1]} does not match prototype dim {pset.dim}")
@@ -256,7 +244,7 @@ def initialize_prototypes(batch: LabeledBatch, threshold: float, domain: str,
 
 def minibatch_prototypes(features, labels) -> dict[int, np.ndarray]:
     """Per-class arithmetic mean of the batch features, not yet normalized."""
-    features, labels = _check_batch(features, labels)
+    features, labels = check_batch(features, labels)
     if len(features) == 0:
         raise EmptyBatch("cannot build mini-batch prototypes from an empty batch")
     present, means = class_means(features, labels, int(labels.max()) + 1)
@@ -265,10 +253,7 @@ def minibatch_prototypes(features, labels) -> dict[int, np.ndarray]:
 
 def _blend_one(prev, minibatch_mean) -> tuple[float, np.ndarray]:
     """:func:`blend_rows` on one (prev, mean) pair, validated as vectors."""
-    prev = as_vector(prev)
-    mean = as_vector(minibatch_mean)
-    if prev.shape != mean.shape:
-        raise DimensionMismatch(f"dimension mismatch: {prev.shape} vs {mean.shape}")
+    prev, mean = as_vectors(prev, minibatch_mean)
     pair = np.array([prev, mean])
     norms = _row_norms(pair)
     if np.any(norms <= NORM_EPS):

@@ -32,6 +32,19 @@ _INT64 = np.iinfo(np.int64)
 _DUMP_BYTES = b"0123456789+-.e,\n\r"
 
 
+def check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, dim) float64 array of finite features and its n int64 labels."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
+    if labels.shape != (len(features),):
+        raise DimensionMismatch("labels must match the feature count")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain non-finite entries")
+    return features, labels
+
+
 @dataclass(frozen=True)
 class LabeledBatch:
     """Features with class labels and confidence scores; -1 marks absence."""
@@ -41,15 +54,10 @@ class LabeledBatch:
     scores: np.ndarray    # (n,) floats, -1 = absent
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features, labels = check_batch(self.features, self.labels)
         scores = np.asarray(self.scores, dtype=np.float64)
-        if features.ndim != 2:
-            raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
-        if labels.shape != (len(features),) or scores.shape != (len(features),):
-            raise DimensionMismatch("labels and scores must match the feature count")
-        if not np.isfinite(features).all():
-            raise ValueError("features contain non-finite entries")
+        if scores.shape != (len(features),):
+            raise DimensionMismatch("scores must match the feature count")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scores", scores)
@@ -241,6 +249,14 @@ def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
     return linenos, rows
 
 
+def parse_finite(cell: str) -> float:
+    """``float(cell)``, with a ValueError for a non-finite value."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
 def parse_int64(cell: str) -> int:
     """``int(cell)``, with a ValueError for a value outside int64."""
     value = int(cell)
@@ -298,7 +314,7 @@ def _dump_header_ok(cells: list[str]) -> bool:
 
 
 def _parse_dump_row(cells: list[str]) -> tuple[int, float, list[float]]:
-    return parse_int64(cells[0]), float(cells[1]), [float(v) for v in cells[2:]]
+    return parse_int64(cells[0]), parse_finite(cells[1]), list(map(parse_finite, cells[2:]))
 
 
 def load_dump(path) -> LabeledBatch:
@@ -306,19 +322,14 @@ def load_dump(path) -> LabeledBatch:
 
     A well-formed dump is read by numpy's C reader; any other file goes
     through :func:`read_csv`, which decides what is accepted and names the
-    bad line.
+    first bad line.
     """
     batch = _load_well_formed_dump(path)
     if batch is not None:
         return batch
-    linenos, rows = read_csv(path, _dump_header_ok, _parse_dump_row)
+    _, rows = read_csv(path, _dump_header_ok, _parse_dump_row)
     labels, scores, features = zip(*rows)
-    features = np.asarray(features)
-    scores = np.asarray(scores)
-    finite = np.isfinite(features).all(axis=1) & np.isfinite(scores)
-    if not finite.all():
-        raise ParseError(f"{path} line {linenos[int(np.argmin(finite))]}: non-finite value")
-    return LabeledBatch(features, np.asarray(labels), scores)
+    return LabeledBatch(np.asarray(features), np.asarray(labels), np.asarray(scores))
 
 
 def _load_well_formed_dump(path) -> LabeledBatch | None:
@@ -387,9 +398,7 @@ def _relabel(path, base_path, base: LabeledBatch) -> LabeledBatch | None:
                 if features.removesuffix("\n") != base_features.removesuffix("\n"):
                     return None
                 labels.append(parse_int64(label))
-                scores.append(float(score))
-                if not math.isfinite(scores[-1]):
-                    return None
+                scores.append(parse_finite(score))
     except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
         return None
     return LabeledBatch(base.features, labels, scores)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -848,3 +848,22 @@ class TestTrainerConfigRanges:
         doc = TrainerConfig.from_json_dict({"learning_rate": 0, "lambda_pce": 2}).to_json_dict()
         assert (doc["learning_rate"], doc["lambda_pce"]) == (0.0, 2.0)
         assert type(doc["learning_rate"]) is float and type(doc["lambda_pce"]) is float
+
+
+def test_step_record_loss_fields_follow_the_terms():
+    names = [f.name for f in fields(adapt.StepRecord) if f.name.startswith("loss_")]
+    assert names == [f"loss_{term}" for term in losses.TERMS]
+
+
+def test_negative_source_label_rejected_before_warm_up(monkeypatch):
+    source, target = tiny_data()
+    labels = source.labels.copy()
+    labels[5] = -1
+
+    def no_warm_up(*args):
+        raise AssertionError("warm-up ran on a source with a label of -1")
+
+    monkeypatch.setattr(adapt, "warmup_run", no_warm_up)
+    with pytest.raises(ValueError, match="^source row 6 has label -1; "):
+        run_experiment(LabeledBatch(source.features, labels, source.scores), target,
+                       tiny_config())

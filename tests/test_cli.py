@@ -978,3 +978,37 @@ class TestConfigParsing:
         spec = cli.spec_from_config(self.load("default.json"))
         for f in fields(DomainShiftSpec):
             assert getattr(spec, f.name) == getattr(DomainShiftSpec(), f.name), f.name
+
+
+class TestTrainSizeChecks:
+    """``train`` checks the sizes its evaluation needs before it trains."""
+
+    CASES = {
+        "2 classes x 5 samples": ("benchmark", {"class_count": 2, "samples_per_class": 5},
+                                  "InsufficientSamples: need >= 20 samples per domain, "
+                                  "got 10 and 10"),
+        "feature_dim 1": ("trainer", {"feature_dim": 1},
+                          "InsufficientSamples: need 2-D data with dim >= 2, got shape (200, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_and_no_training(self, tmp_path, monkeypatch, capsys, case):
+        section, overrides, message = self.CASES[case]
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc[section].update(overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        data, out = tmp_path / "data", tmp_path / "run"
+        data.mkdir()
+        out.mkdir()
+        assert run(["gen", "--config", str(path), "--out", str(data)]) == 0
+
+        def no_training(*args):
+            raise AssertionError("train ran a schedule its evaluation cannot use")
+
+        monkeypatch.setattr(cli.adapt, "run_experiment", no_training)
+        capsys.readouterr()
+        assert run(["train", "--config", str(path), "--data", str(data),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(out) == []

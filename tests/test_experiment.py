@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pacf import adapt, experiment, metrics, synthbench
+from pacf.errors import InsufficientSamples
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,30 @@ class TestEvaluateState:
         peak = traced_peak(experiment.evaluate_state, state, config, source, target,
                            dataset.target_hidden_labels)
         assert peak < 3 * embedding_bytes
+
+
+class TestEvaluationSizes:
+    """``evaluate_state`` checks ``metrics.check_evaluable`` before any forward pass."""
+
+    @pytest.fixture()
+    def forward_fails(self, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("evaluate_state ran a forward pass")
+        monkeypatch.setattr(adapt, "forward", no_forward)
+
+    def test_too_few_rows(self, forward_fails):
+        dataset = synthbench.generate(synthbench.DomainShiftSpec(class_count=2,
+                                                                 samples_per_class=5))
+        config = adapt.TrainerConfig(feature_dim=4)
+        state = adapt.init_state(config, dataset.source.dim, 2)
+        with pytest.raises(InsufficientSamples,
+                           match="^need >= 20 samples per domain, got 10 and 10$"):
+            experiment.evaluate_state(state, config, dataset.source, dataset.target_features)
+
+    def test_one_dim_embedding(self, forward_fails):
+        dataset = synthbench.generate(synthbench.DomainShiftSpec(samples_per_class=5))
+        config = adapt.TrainerConfig(feature_dim=1)
+        state = adapt.init_state(config, dataset.source.dim, 8)
+        with pytest.raises(InsufficientSamples,
+                           match=r"^need 2-D data with dim >= 2, got shape \(40, 1\)$"):
+            experiment.evaluate_state(state, config, dataset.source, dataset.target_features)

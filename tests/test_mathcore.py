@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pacf import losses, mathcore
+from pacf import losses, mathcore, prototypes
 from pacf.errors import DimensionMismatch, InvalidTemperature, ZeroVector
 
 
@@ -290,3 +290,33 @@ class TestSoftmaxVjp:
             analytic = mathcore.softmax_vjp(probs, g)
             numeric = mathcore.finite_difference_gradient(f, z, 1e-6)
             np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+
+
+# the seven vector functions that share as_vectors' length rule, each called with vectors of
+# lengths 3 and 4 in its first two vector arguments
+UNEQUAL_VECTORS = {
+    "cosine_similarity": mathcore.cosine_similarity,
+    "softmax_vjp": mathcore.softmax_vjp,
+    "kl_divergence": mathcore.kl_divergence,
+    "js_divergence": mathcore.js_divergence,
+    "regularizer_variant": lambda a, b: losses.regularizer_variant(a, b, a, "jsd"),
+    "domain_adversarial_loss": lambda a, b: losses.domain_adversarial_loss(a, 0, b, 0.0),
+    "prototypes._blend_one": prototypes._blend_one,
+}
+
+
+class TestOneLengthRule:
+    @pytest.mark.parametrize("name", sorted(UNEQUAL_VECTORS))
+    def test_unequal_lengths_raise_dimension_mismatch(self, name):
+        short, long = np.full(3, 0.25), np.full(4, 0.25)
+        with pytest.raises(DimensionMismatch, match="^vectors of unequal lengths: 3 vs 4"):
+            UNEQUAL_VECTORS[name](short, long)
+
+    def test_as_vectors_returns_the_checked_vectors(self):
+        a, b, c = mathcore.as_vectors([1, 2], (3.0, 4.0), np.array([5, 6]))
+        for v, expected in ((a, [1.0, 2.0]), (b, [3.0, 4.0]), (c, [5.0, 6.0])):
+            assert v.dtype == np.float64 and v.tolist() == expected
+
+    def test_as_vectors_message_names_every_length(self):
+        with pytest.raises(DimensionMismatch, match="^vectors of unequal lengths: 2 vs 2 vs 1$"):
+            mathcore.as_vectors([1.0, 2.0], [1.0, 2.0], [1.0])

@@ -10,9 +10,11 @@ wrong, or exit 0 with empty stderr.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pacf import cli
+from pacf.errors import numeric_array
 
 BIG = 2 ** 1100  # a JSON integer past float64
 
@@ -123,6 +125,23 @@ def string_prototype(doc):
     protos["0"] = strings(protos["0"])
 
 
+def prototype_key(spelling):
+    """Target prototype 1 also under ``spelling``, negated, as a second spelling of class 1."""
+    def edit(doc):
+        protos = doc["tgt_prototypes"]["prototypes"]
+        protos[spelling] = [-v for v in protos["1"]]
+    return edit
+
+
+def table_key(table, spelling):
+    """``metrics.json``'s class-1 entry of ``table`` also under ``spelling``, doubled."""
+    def edit(text):
+        doc = json.loads(text)
+        doc[table][spelling] = 2.0 * doc[table]["1"]
+        return json.dumps(doc)
+    return edit
+
+
 def metrics_with(key, value):
     def edit(text):
         return json.dumps({**json.loads(text), key: value})
@@ -210,6 +229,18 @@ ROWS = {
     "report proxy_a_distance '0.5'":
         (artifact_with("metrics.json", metrics_with("proxy_a_distance", "0.5")), "ParseError",
          "'proxy_a_distance'"),
+    "eval prototype key '01'":
+        (checkpoint_with(prototype_key("01")), "ParseError", "'tgt_prototypes'"),
+    "eval prototype key ' 1'":
+        (checkpoint_with(prototype_key(" 1")), "ParseError", "'tgt_prototypes'"),
+    "eval prototype key '0_1'":
+        (checkpoint_with(prototype_key("0_1")), "ParseError", "'tgt_prototypes'"),
+    "report mean_shift key '01'":
+        (artifact_with("metrics.json", table_key("mean_shift", "01")), "ParseError",
+         "'mean_shift'"),
+    "report source_variance key '+1'":
+        (artifact_with("metrics.json", table_key("source_variance", "+1")), "ParseError",
+         "'source_variance'"),
     "report infinite projection x":
         (artifact_with("projection.csv", infinite_x_on_line_3), "ParseError",
          "projection.csv line 3"),
@@ -229,3 +260,11 @@ def test_one_error_line_or_a_clean_exit(trained, tmp_path, capsys, make_argv, er
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {error}: ")
         assert where in err
+
+
+def test_numeric_array_reads_an_integer_past_float64_as_infinity():
+    # the rule as_float applies to a scalar, entry by entry
+    assert numeric_array(BIG, "x").tolist() == math.inf
+    array = numeric_array([[BIG, 1], [-BIG, 0.5]], "x")
+    assert array.dtype == np.float64
+    assert array.tolist() == [[math.inf, 1.0], [-math.inf, 0.5]]

@@ -3,6 +3,7 @@ import pytest
 
 from pacf.errors import DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError
 from pacf import synthbench
+from pacf.prototypes import PrototypeSet, update_all
 from pacf.synthbench import (DomainShiftSpec, LabeledBatch, generate, load_dump,
                              load_relabeled, save_dump)
 
@@ -659,3 +660,40 @@ class TestWriteCsvMatchesOracle:
         input_bytes = batch.features.nbytes + batch.labels.nbytes + batch.scores.nbytes
         # the text of the whole file peaked at 14x the batch, blocks of rows at about 3.5x
         assert traced_peak(save_dump, batch, tmp_path / "dump.csv") < 6 * input_bytes
+
+
+class TestFiniteCells:
+    """``parse_finite`` is the one rule for a float cell, in every CSV pacf reads."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "-Infinity"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="^non-finite value$"):
+            synthbench.parse_finite(cell)
+
+    def test_slow_path_names_the_first_bad_line(self, tmp_path):
+        # "nan" keeps the dump off the C reader; the parse stops at line 2, before line 3's
+        # malformed cell
+        path = tmp_path / "dump.csv"
+        path.write_text("label,score,f0,f1\n0,0.5,nan,1.0\n1,0.5,x,1.0\n")
+        with pytest.raises(ParseError, match=r"dump\.csv line 2: non-finite value$"):
+            load_dump(path)
+
+
+class TestCheckBatch:
+    """``check_batch`` is the batch rule of both ``LabeledBatch`` and ``update_all``."""
+
+    @pytest.mark.parametrize("features, labels, error, message", [
+        ([1.0, 2.0], [0, 1], DimensionMismatch, "features must be 2-D, got shape (2,)"),
+        ([[1.0], [2.0]], [0], DimensionMismatch, "labels must match the feature count"),
+        ([[np.inf]], [0], ValueError, "features contain non-finite entries"),
+    ])
+    def test_labeled_batch_and_update_all_fail_alike(self, features, labels, error, message):
+        with pytest.raises(error) as from_batch:
+            LabeledBatch(features, labels, np.zeros(len(labels)))
+        with pytest.raises(error) as from_update:
+            update_all(PrototypeSet("source", 2, 1), features, labels)
+        assert str(from_batch.value) == str(from_update.value) == message
+
+    def test_score_count_checked(self):
+        with pytest.raises(DimensionMismatch, match="^scores must match the feature count$"):
+            LabeledBatch([[1.0], [2.0]], [0, 1], [0.5])
