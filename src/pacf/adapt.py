@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import losses
+from . import losses, mathcore
 from .errors import (DimensionMismatch, Diverged, as_index, check_fields, entry_reader,
                      numeric_array, rule)
 from .losses import Geometry, LossValue, LossWeights, class_probabilities, total_loss
@@ -259,6 +259,18 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     return emb, probs
 
 
+def domain_pass(student: ModelParams, features, domain: str) -> tuple[np.ndarray, ...]:
+    """:func:`forward` of a whole domain and the embeddings' row norms; :class:`Diverged` names
+    ``domain`` and the first data row whose norm is not finite (a zero norm is accepted)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # one error line, no numpy warnings
+        emb, probs = forward(student, features)
+        norms = mathcore.row_norms(emb)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        raise Diverged(f"the student's {domain} embedding of data row {bad[0] + 1} is not finite")
+    return emb, probs, norms
+
+
 def predict(params: ModelParams, x):
     """Argmax of the linear-classifier distribution; prototypes are never consulted."""
     _, probs = forward(params, x)
@@ -459,17 +471,16 @@ def initialize_from_warmup(state: AdaptationState, source: LabeledBatch,
                            target_features, config: TrainerConfig) -> AdaptationState:
     """Prototype initialization from the warmed-up student, per domain.
 
-    The student runs inference over the clean features of each domain; per
-    predicted class, embeddings whose confidence reaches ``init_threshold``
+    The student runs inference over the clean features of each domain by :func:`domain_pass`;
+    per predicted class, embeddings whose confidence reaches ``init_threshold``
     are averaged and normalized. The teacher restarts as a student copy.
     """
-    class_count = state.student.class_count
     protos = {}
     for domain, feats in (("source", source.features), ("target", target_features)):
-        emb, probs = forward(state.student, feats)
+        emb, probs, _ = domain_pass(state.student, feats, domain)
         batch = LabeledBatch(emb, probs.argmax(axis=1), probs.max(axis=1))
         protos[domain] = initialize_prototypes(batch, config.init_threshold, domain,
-                                               class_count)
+                                               state.student.class_count)
     return AdaptationState(student=state.student, teacher=state.student.copy(),
                            src_protos=protos["source"], tgt_protos=protos["target"],
                            step=state.step, rng=state.rng)

@@ -263,12 +263,11 @@ def cmd_report(args, out: OutDir) -> str:
         _require_artifact(run_dir, "manifest.json")  # written last: without it a run is partial
         path = _require_artifact(run_dir, "metrics.json")
         reports.append(metrics.MetricsReport.from_json_dict(_read_json(path), path))
-        _, rows = read_csv(_require_artifact(run_dir, "rank_scatter.csv"),
-                           lambda header: header == _SCATTER_HEADER, _read_scatter_row)
-        scatter = np.array(rows)
+        scatter = np.array(read_csv(_require_artifact(run_dir, "rank_scatter.csv"),
+                                    lambda header: header == _SCATTER_HEADER, _read_scatter_row))
         scatters.append(scatter[np.isfinite(scatter).all(axis=1)])
-        _, rows = read_csv(_require_artifact(run_dir, "projection.csv"),
-                           lambda header: header == _PROJECTION_HEADER, _read_projection_row)
+        rows = read_csv(_require_artifact(run_dir, "projection.csv"),
+                        lambda header: header == _PROJECTION_HEADER, _read_projection_row)
         points, labels = zip(*rows)
         projections.append((np.array(points), np.array(labels, dtype=np.int64)))
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import adapt, losses, mathcore, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
-from .errors import Diverged
-from .synthbench import DatasetPair, LabeledBatch
+from .synthbench import LabeledBatch
 
 def baseline_config(config: TrainerConfig) -> TrainerConfig:
     """Self-training + adversarial only: prototype terms switched off."""
@@ -57,16 +56,6 @@ def rank_consistency_scores(state: AdaptationState, embeddings: np.ndarray,
     return linear_scores, cosines.max(axis=1)
 
 
-def _student_norms(embeddings: np.ndarray, domain: str) -> np.ndarray:
-    """Row norms of the student's ``domain`` embeddings; each must be finite and non-zero."""
-    norms = mathcore.nonzero_norms(
-        embeddings, f"the student maps a {domain} row to a zero embedding")
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if len(bad):
-        raise Diverged(f"the student's {domain} embedding of data row {bad[0] + 1} is not finite")
-    return norms
-
-
 def evaluate_state(state: AdaptationState, config: TrainerConfig, source: LabeledBatch,
                    target_features, target_hidden_labels=None) -> EvalResult:
     """Full diagnostic pass over clean features with the current student/teacher.
@@ -78,14 +67,11 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     labels are all unknown, which leaves the label-free diagnostics only. Too few rows or
     embedding dims for the diagnostics raise :class:`InsufficientSamples` before any runs.
     """
-    target_features = np.asarray(target_features, dtype=np.float64)
     metrics.check_evaluable(len(source), len(target_features), state.student.feature_dim)
-    # a degenerate student ends in one error line below, not in numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        src_emb, _ = adapt.forward(state.student, source.features)
-        tgt_emb, tgt_probs = adapt.forward(state.student, target_features)
-        src_norms = _student_norms(src_emb, "source")
-        tgt_norms = _student_norms(tgt_emb, "target")
+    src_emb, _, src_norms = adapt.domain_pass(state.student, source.features, "source")
+    tgt_emb, tgt_probs, tgt_norms = adapt.domain_pass(state.student, target_features, "target")
+    mathcore.nonzero(src_norms, "the student maps a source row to a zero embedding")
+    mathcore.nonzero(tgt_norms, "the student maps a target row to a zero embedding")
     # the A-distance probes the embeddings the discriminator actually sees; it
     # runs while they are the only full-size arrays alive
     proxy = metrics.proxy_a_distance(src_emb, tgt_emb)
@@ -118,13 +104,3 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     return EvalResult(report=report, linear_scores=linear_scores,
                       prototype_cosines=proto_cos, projection=metrics.pca_project_2d(tgt_unit),
                       projection_labels=hidden)
-
-
-def run_and_evaluate(dataset: DatasetPair, config: TrainerConfig
-                     ) -> tuple[adapt.RunResult, EvalResult]:
-    """Convenience wrapper: adapt on the training view, evaluate with hidden labels."""
-    source, target = dataset.training_view()
-    result = adapt.run_experiment(source, target, config)
-    evaluation = evaluate_state(result.state, config, source, target,
-                                dataset.target_hidden_labels)
-    return result, evaluation

@@ -57,12 +57,21 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def nonzero_norms(rows: np.ndarray, message: str) -> np.ndarray:
-    """Row norms of ``rows``; :class:`ZeroVector` with ``message`` if one is at most NORM_EPS."""
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's sum for real rows
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``rows``, by np.linalg.norm's sum for real rows."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
+def nonzero(norms: np.ndarray, message: str) -> np.ndarray:
+    """``norms``; :class:`ZeroVector` with ``message`` if one is at most NORM_EPS."""
     if np.any(norms <= NORM_EPS):
         raise ZeroVector(message)
     return norms
+
+
+def nonzero_norms(rows: np.ndarray, message: str) -> np.ndarray:
+    """:func:`row_norms` of ``rows``, checked by :func:`nonzero`."""
+    return nonzero(row_norms(rows), message)
 
 
 def cosine_similarity(a, b) -> float:

@@ -207,8 +207,8 @@ def write_csv(path, header, columns) -> None:
     write_text(path, blocks())
 
 
-def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
-    """The line numbers and ``parse_row(cells)`` of every non-blank data line of a CSV.
+def read_csv(path, header_ok, parse_row) -> list:
+    """``parse_row(cells)`` of every non-blank data line of a CSV.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else: in a file with
     ``\\n`` line ends, line N is what ``awk NR==N`` prints. The header must
@@ -231,7 +231,7 @@ def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
     header = lines[0].split(",")
     if not header_ok(header):
         raise ParseError(f"{path} line 1: bad header {lines[0]!r}")
-    linenos, rows = [], []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
@@ -243,10 +243,9 @@ def read_csv(path, header_ok, parse_row) -> tuple[list[int], list]:
             rows.append(parse_row(cells))
         except ValueError as exc:
             raise ParseError(f"{path} line {lineno}: {exc}") from exc
-        linenos.append(lineno)
     if not rows:
         raise EmptyBatch(f"{path} has no data rows")
-    return linenos, rows
+    return rows
 
 
 def parse_finite(cell: str) -> float:
@@ -327,8 +326,7 @@ def load_dump(path) -> LabeledBatch:
     batch = _load_well_formed_dump(path)
     if batch is not None:
         return batch
-    _, rows = read_csv(path, _dump_header_ok, _parse_dump_row)
-    labels, scores, features = zip(*rows)
+    labels, scores, features = zip(*read_csv(path, _dump_header_ok, _parse_dump_row))
     return LabeledBatch(np.asarray(features), np.asarray(labels), np.asarray(scores))
 
 

@@ -80,3 +80,38 @@ class TestSummarize:
         pairs = [pair({"op_error_rate": 0.1}, {"op_error_rate": 0.0})]
         assert bench_pairs.summarize(pairs, {})["op_error_rate"]["change_better_in"] == \
             "1 of 1 pairs"
+
+
+class TestRunLength:
+    """``--seconds`` defaults to the change's ``run_seconds``; no perfbench run starts."""
+
+    @pytest.fixture()
+    def runs(self, tmp_path, monkeypatch):
+        declared = {"run_seconds": 7, "end_to_end": [{"name": "adapt_steps_per_s",
+                                                      "better": "higher"}]}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+        calls = []
+
+        def run_once(root, workload, seed, seconds):
+            calls.append(seconds)
+            return {"adapt_steps_per_s": 100.0}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+
+        def main(*extra):
+            out = tmp_path / "pairs.json"
+            assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                                     "--workload", "w", "--seeds", "1", "--out", str(out),
+                                     *extra]) == 0
+            return calls, json.loads(out.read_text())["command"]
+        return main
+
+    def test_default_is_run_seconds(self, runs):
+        calls, command = runs()
+        assert calls == [7.0, 7.0]
+        assert "--seconds 7 " in command
+
+    def test_flag_overrides(self, runs):
+        calls, command = runs("--seconds", "20")
+        assert calls == [20.0, 20.0]
+        assert "--seconds 20 " in command

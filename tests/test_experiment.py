@@ -45,7 +45,10 @@ class TestDefaults:
 class TestEvaluateState:
     def test_report_fields_populated(self, small_setup):
         dataset, config = small_setup
-        result, evaluation = experiment.run_and_evaluate(dataset, config)
+        source, target = dataset.training_view()
+        result = adapt.run_experiment(source, target, config)
+        evaluation = experiment.evaluate_state(result.state, config, source, target,
+                                               dataset.target_hidden_labels)
         report = evaluation.report
         assert set(report.source_variance) == set(range(8))
         assert set(report.target_variance) == set(range(8))
@@ -59,7 +62,10 @@ class TestEvaluateState:
 
     def test_variance_uses_normalized_embeddings(self, small_setup):
         dataset, config = small_setup
-        result, evaluation = experiment.run_and_evaluate(dataset, config)
+        source, target = dataset.training_view()
+        result = adapt.run_experiment(source, target, config)
+        evaluation = experiment.evaluate_state(result.state, config, source, target,
+                                               dataset.target_hidden_labels)
         # normalized embeddings have unit rows, so per-class variance < 2
         assert all(0.0 <= v < 2.0 for v in evaluation.report.target_variance.values())
         assert all(0.0 <= v < 2.0 for v in evaluation.report.mean_shift.values())

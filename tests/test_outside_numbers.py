@@ -1,5 +1,5 @@
-"""Every number pacf reads from a config, a checkpoint or a run directory ends, through
-``python -m pacf``, either in a correct result or in one ``error:`` line.
+"""Every number pacf reads from a config, a checkpoint, a data directory or a run directory
+ends, through ``python -m pacf``, either in a correct result or in one ``error:`` line.
 
 One row per input: a command, the edit that makes its input, and the outcome. Each
 row runs ``cli.main`` in-process with every warning turned into an error, and
@@ -24,6 +24,11 @@ CONFIG = {
                 "ema_rate": 0.95, "seed": 3},
 }
 CLASSES, FEATURE_DIM = 4, 12
+# a benchmark small enough that one scaled feature cell overflows the student's first sum
+SMALL = {
+    "benchmark": {"class_count": 2, "dim": 4, "samples_per_class": 30, "seed": 1},
+    "trainer": {"warmup_steps": 5, "steps": 5, "batch_size": 8, "feature_dim": 4, "seed": 0},
+}
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +153,37 @@ def metrics_with(key, value):
     return edit
 
 
+def dumps_with(edits, **trainer):
+    """``train`` of ``SMALL`` (with ``trainer`` fields set) on its own ``gen`` output, after
+    each dump ``name`` of ``edits`` is rewritten to ``edit(text)``."""
+    def argv(data, run_dir, tmp_path):
+        doc = json.loads(json.dumps(SMALL))
+        doc["trainer"].update(trainer)
+        config, own = tmp_path / "small.json", tmp_path / "data"
+        config.write_text(json.dumps(doc))
+        own.mkdir()
+        assert cli.main(["gen", "--config", str(config), "--out", str(own)]) == 0
+        for name, edit in edits.items():
+            (own / name).write_text(edit((own / name).read_text()))
+        return ["train", "--config", str(config), "--data", str(own)]
+    return argv
+
+
+def feature_cells(edit):
+    """A dump edit that replaces the feature cells of data row i by ``edit(i, cells)``."""
+    def edit_text(text):
+        header, *lines = text.splitlines()
+        rows = [line.split(",") for line in lines]
+        return "\n".join([header, *(",".join([*row[:2], *edit(i, row[2:])])
+                                    for i, row in enumerate(rows))]) + "\n"
+    return edit_text
+
+
+# finite cells whose products with the student's weights overflow float64
+times_1_5e307 = feature_cells(lambda i, cells: [repr(float(c) * 1.5e307) for c in cells])
+first_row_zero = feature_cells(lambda i, cells: ["0.0"] * len(cells) if i == 0 else cells)
+
+
 def infinite_x_on_line_3(text):
     lines = text.splitlines()
     lines[2] = ",".join(["inf", *lines[2].split(",")[1:]])
@@ -244,6 +280,14 @@ ROWS = {
     "report infinite projection x":
         (artifact_with("projection.csv", infinite_x_on_line_3), "ParseError",
          "projection.csv line 3"),
+    "train target dump times 1.5e307":
+        (dumps_with({"target.csv": times_1_5e307, "target_hidden.csv": times_1_5e307}),
+         "Diverged", "the student's target embedding of data row 1 is not finite"),
+    "train source dump times 1.5e307 without warm-up":
+        (dumps_with({"source.csv": times_1_5e307}, warmup_steps=0), "Diverged",
+         "the student's source embedding of data row 1 is not finite"),
+    "train source dump with a zero feature row without warm-up":
+        (dumps_with({"source.csv": first_row_zero}, warmup_steps=0), None, None),
 }
 
 

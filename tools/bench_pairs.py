@@ -1,13 +1,14 @@
 """Run perfbench on two checkouts in alternating pairs and summarize the pairs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
-        --seeds 16-25 [--held-out 26,27] [--seconds 30] --out BENCH_N.json
+        --seeds 16-25 [--held-out 26,27] [--seconds T] --out BENCH_N.json
 
 Each pair runs ``python3 perfbench/run.py --workload NAME --seed S --seconds
 T --trace 0`` once from the root of each checkout, one run at a time. The
 side that runs first alternates from one pair to the next, starting with the
-parent. The seeds of ``--seeds`` fill ``pairs[NAME]`` and those of
-``--held-out`` fill ``held_out_pairs[NAME]``, run after them.
+parent. T defaults to ``run_seconds`` of the change's ``BENCHMARK.json``. The
+seeds of ``--seeds`` fill ``pairs[NAME]`` and those of ``--held-out`` fill
+``held_out_pairs[NAME]``, run after them.
 
 ``--out`` is read first if it exists, and only the blocks of NAME change:
 the pair lists, ``pairs_summary[NAME]`` and ``env``. The file is written
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, required=True)
     parser.add_argument("--held-out", type=seed_list, default=[])
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -99,9 +100,10 @@ def main(argv=None) -> int:
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     better["op_error_rate"] = "lower"
+    seconds = float(declared["run_seconds"]) if args.seconds is None else args.seconds
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("command", f"python3 perfbench/run.py --workload W --seed S "
-                              f"--seconds {args.seconds:g} --trace 0")
+                              f"--seconds {seconds:g} --trace 0")
 
     for block, seeds in (("pairs", args.seeds), ("held_out_pairs", args.held_out)):
         pairs = doc.setdefault(block, {}).setdefault(args.workload, [])
@@ -113,7 +115,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             threads = {}
             for side in order:
-                pair[side], env = run_once(roots[side], args.workload, seed, args.seconds)
+                pair[side], env = run_once(roots[side], args.workload, seed, seconds)
                 threads[side] = env.get("threads")
                 doc.setdefault("env", env)
             pair["threads"] = threads
