@@ -274,8 +274,10 @@ def cmd_report(args, out: OutDir) -> str:
     for stem, (attr, prefix) in _COMPARISONS.items():
         columns = _class_columns([getattr(r, attr) for r in reports])
         values = np.array(columns[1:], dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite delta is an empty cell
+            deltas = values[1:] - values[0]
         header = ["class", *(f"{prefix}_{n}" for n in names), *(f"delta_{n}" for n in names[1:])]
-        write_csv(out(f"{stem}_comparison.csv"), header, [*columns, *(values[1:] - values[0])])
+        write_csv(out(f"{stem}_comparison.csv"), header, [*columns, *deltas])
     summaries = [report.summary() for report in reports]
     write_csv(out("summary_comparison.csv"), ["metric", *names],
               [list(summaries[0]), *(list(summary.values()) for summary in summaries)])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adapt, losses, mathcore, metrics
+from . import adapt, mathcore, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
 from .synthbench import LabeledBatch
 
@@ -39,21 +39,20 @@ class EvalResult:
     projection_labels: np.ndarray  # hidden labels aligned with the projection (-1 unknown)
 
 
-def rank_consistency_scores(state: AdaptationState, embeddings: np.ndarray,
+def rank_consistency_scores(state: AdaptationState, unit: np.ndarray,
                             probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-instance (max linear probability, max prototype cosine) pairs.
 
-    ``embeddings`` and ``probabilities`` are the student's forward pass over
-    the clean target features. Cosines use the target-domain prototypes over
-    their initialized classes; both axes are confidence-style scores.
+    ``unit`` (the unit rows of the student's embeddings) and ``probabilities`` are one
+    forward pass over the clean target features. Cosines use the target-domain prototypes
+    over their initialized classes; both axes are confidence-style scores.
     """
     linear_scores = probabilities.max(axis=1)
     protos = state.tgt_protos
     if protos is None or not protos.initialized_classes():
-        return linear_scores, np.full(len(embeddings), np.nan)
+        return linear_scores, np.full(len(unit), np.nan)
     matrix = np.stack([protos.get(k) for k in protos.initialized_classes()])
-    _, cosines = losses.prototype_geometry(embeddings, matrix)
-    return linear_scores, cosines.max(axis=1)
+    return linear_scores, (unit @ matrix.T).max(axis=1)
 
 
 def evaluate_state(state: AdaptationState, config: TrainerConfig, source: LabeledBatch,
@@ -75,13 +74,13 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
     # the A-distance probes the embeddings the discriminator actually sees; it
     # runs while they are the only full-size arrays alive
     proxy = metrics.proxy_a_distance(src_emb, tgt_emb)
-
-    # both coefficients are nan when the target prototypes are missing (nan cosines)
-    linear_scores, proto_cos = rank_consistency_scores(state, tgt_emb, tgt_probs)
-    pseudo = generate_pseudo_labels(state.teacher, target_features, config.pseudo_threshold)
     # nothing reads the raw embeddings after this: unit rows, in place
     src_unit = np.divide(src_emb, src_norms[:, None], out=src_emb)
     tgt_unit = np.divide(tgt_emb, tgt_norms[:, None], out=tgt_emb)
+
+    # both coefficients are nan when the target prototypes are missing (nan cosines)
+    linear_scores, proto_cos = rank_consistency_scores(state, tgt_unit, tgt_probs)
+    pseudo = generate_pseudo_labels(state.teacher, target_features, config.pseudo_threshold)
 
     hidden = np.full(len(tgt_unit), -1, dtype=np.int64)
     if target_hidden_labels is not None:

@@ -85,9 +85,7 @@ def class_probabilities(logits: np.ndarray) -> np.ndarray:
     if logits.shape[1] == 1:
         p0 = mathcore.sigmoid(logits[:, 0])
         return np.stack([p0, 1.0 - p0], axis=1)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return mathcore.softmax_rows(logits)
 
 
 def log_probabilities(logits: np.ndarray) -> np.ndarray:

@@ -90,13 +90,17 @@ def _check_temperature(tau: float) -> float:
     return tau
 
 
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed with max-subtraction for stability."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def temperature_softmax(scores, tau: float) -> np.ndarray:
-    """Softmax of scores/tau, computed with max-subtraction for stability."""
+    """Softmax of scores/tau by :func:`softmax_rows`, the max subtracted before the division."""
     tau = _check_temperature(tau)
     s = as_vector(scores)
-    z = (s - float(np.max(s))) / tau
-    e = np.exp(z)
-    return e / float(np.sum(e))
+    return softmax_rows((s - float(np.max(s))) / tau)
 
 
 def softmax_vjp_rows(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:

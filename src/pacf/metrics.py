@@ -288,10 +288,19 @@ def tp_ratio(pseudo_labels, pseudo_indices, hidden_labels) -> dict[int, float]:
 
 
 def class_average(values: dict[int, float]) -> float:
-    """Unweighted mean over the reported classes (nan when empty)."""
+    """Unweighted mean over the reported classes (nan when empty).
+
+    Finite entries always have a finite mean: where their sum overflows, the
+    mean is the sum of each entry's share instead.
+    """
     if not values:
         return float("nan")
-    return float(np.mean(list(values.values())))
+    entries = np.array(list(values.values()), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf and a -inf average to nan
+        mean = float(np.mean(entries))
+    if not np.isfinite(mean) and np.isfinite(entries).all():
+        mean = float(np.sum(entries / len(entries)))
+    return mean
 
 
 def pca_project_2d(features) -> np.ndarray:

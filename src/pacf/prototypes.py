@@ -26,17 +26,13 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBatch, UninitializedPrototype, ZeroVector,
                      as_index, class_key, numeric_array)
-# cosine_similarity and l2_normalize are unused here; they stay importable from this
-# module only because perfbench/tracing.py patches them here to count prototype math calls
-from .mathcore import NORM_EPS, as_vectors, cosine_similarity, l2_normalize  # noqa: F401
+from .mathcore import NORM_EPS, as_vectors, nonzero_norms, row_norms
+# unused here, but perfbench/tracing.py patches them here to count prototype math calls
+from .mathcore import cosine_similarity, l2_normalize  # noqa: F401
 from .synthbench import LabeledBatch, check_batch
 
 DOMAINS = ("source", "target")
 UNIT_NORM_TOL = 1e-9
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 class PrototypeSet:
@@ -83,8 +79,8 @@ class PrototypeSet:
         ``classes`` must be ids of this set, and ``rows`` a fresh (len(classes), dim)
         array that no caller holds.
         """
-        if len(rows) and not np.abs(_row_norms(rows) - 1.0).max() <= UNIT_NORM_TOL:
-            norms = _row_norms(rows)
+        norms = row_norms(rows)
+        if len(rows) and not np.abs(norms - 1.0).max() <= UNIT_NORM_TOL:
             off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
             raise ValueError(f"prototype for class {int(classes[off[0]])} has norm "
                              f"{float(norms[off[0]])!r}, expected 1")
@@ -181,11 +177,11 @@ def blend_rows(prev: np.ndarray, means: np.ndarray, mean_norms: np.ndarray,
     ``prev`` row must be zero, and it takes alpha = 1, the normalized mean.
     ``mean_norms`` are the row norms of ``means``, none of them zero.
     """
-    prev_norms = np.where(initialized, _row_norms(prev), 1.0)
+    prev_norms = np.where(initialized, row_norms(prev), 1.0)
     cos = np.einsum("ij,ij->i", prev, means) / (prev_norms * mean_norms)
     alpha = np.where(initialized, (cos + 1.0) / 2.0, 1.0)
     blended = (1.0 - alpha)[:, None] * prev + alpha[:, None] * means
-    return alpha, blended / _row_norms(blended)[:, None]
+    return alpha, blended / row_norms(blended)[:, None]
 
 
 # --- prototype maintenance --------------------------------------------------------
@@ -206,7 +202,7 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
     if len(features) == 0:
         return pset
     present, means = class_means(features, labels, pset.class_count)
-    mean_norms = _row_norms(means)
+    mean_norms = row_norms(means)
     if not (NORM_EPS < mean_norms.min() and mean_norms.max() < np.inf):
         bad = ~np.isfinite(mean_norms)
         if np.any(bad):
@@ -253,11 +249,8 @@ def minibatch_prototypes(features, labels) -> dict[int, np.ndarray]:
 
 def _blend_one(prev, minibatch_mean) -> tuple[float, np.ndarray]:
     """:func:`blend_rows` on one (prev, mean) pair, validated as vectors."""
-    prev, mean = as_vectors(prev, minibatch_mean)
-    pair = np.array([prev, mean])
-    norms = _row_norms(pair)
-    if np.any(norms <= NORM_EPS):
-        raise ZeroVector("the blend weight is undefined for a zero prototype or mean")
+    pair = np.array(as_vectors(prev, minibatch_mean))
+    norms = nonzero_norms(pair, "the blend weight is undefined for a zero prototype or mean")
     alpha, rows = blend_rows(pair[:1], pair[1:], norms[1:], np.ones(1, dtype=bool))
     return float(alpha[0]), rows[0]
 

@@ -38,14 +38,24 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _scale(values: np.ndarray) -> tuple[float, float]:
+def _offsets(values: np.ndarray, length: float) -> np.ndarray:
+    """Where ``values`` fall along an axis ``length`` long, their range padded by 5% a side.
+
+    When a value passes 2^1020 in magnitude, all are quartered first, so that
+    the padded range cannot overflow. A range under 1e-12 is widened to 1, or to
+    2^-49 of its magnitude where that is wider, so that it stays a range.
+    """
+    if np.abs(values).max() > 2.0 ** 1020:
+        values = values / 4.0
     lo = float(values.min())
     hi = float(values.max())
     if hi - lo < 1e-12:
-        lo -= 0.5
-        hi += 0.5
+        half = max(0.5, abs(lo) * 2.0 ** -50)
+        lo -= half
+        hi += half
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    return (values - lo) / (hi - lo) * length
 
 
 def _panel_svg(panel: Panel, x_offset: int) -> list[str]:
@@ -67,10 +77,8 @@ def _panel_svg(panel: Panel, x_offset: int) -> list[str]:
             f'font-family="monospace" transform="rotate(-90 12 {PANEL_H // 2})">'
             f'{escape(panel.y_label, quote=False)}</text>')
     if len(pts):
-        x_lo, x_hi = _scale(pts[:, 0])
-        y_lo, y_hi = _scale(pts[:, 1])
-        xs = MARGIN + (pts[:, 0] - x_lo) / (x_hi - x_lo) * PLOT_W
-        ys = MARGIN + PLOT_H - (pts[:, 1] - y_lo) / (y_hi - y_lo) * PLOT_H
+        xs = MARGIN + _offsets(pts[:, 0], PLOT_W)
+        ys = MARGIN + PLOT_H - _offsets(pts[:, 1], PLOT_H)
         classes = panel.classes
         for i in range(len(pts)):
             color = PALETTE[int(classes[i]) % len(PALETTE)] if classes is not None \

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pacf import adapt, experiment, metrics, synthbench
+from pacf import adapt, experiment, losses, metrics, synthbench
+from pacf.prototypes import PrototypeSet
 from pacf.errors import InsufficientSamples
 
 
@@ -103,6 +106,21 @@ class TestEvaluateState:
         rho = metrics.spearman_rho(evaluation.linear_scores,
                                    evaluation.prototype_cosines)
         assert evaluation.report.spearman == rho
+
+    @pytest.mark.parametrize("missing", [None, 3], ids=["full set", "class 3 uninitialized"])
+    def test_prototype_cosines_are_the_training_geometry(self, small_setup, missing):
+        dataset, config = small_setup
+        source, target = dataset.training_view()
+        state = adapt.run_experiment(source, target, config).state
+        protos = state.tgt_protos
+        kept = {k: protos.get(k) for k in protos.initialized_classes() if k != missing}
+        state = replace(state, tgt_protos=PrototypeSet("target", protos.class_count, protos.dim,
+                                                       kept))
+        evaluation = experiment.evaluate_state(state, config, source, target,
+                                               dataset.target_hidden_labels)
+        embeddings, _ = adapt.forward(state.student, target)
+        _, cosines = losses.prototype_geometry(embeddings, np.stack(list(kept.values())))
+        assert evaluation.prototype_cosines.tobytes() == cosines.max(axis=1).tobytes()
 
     def test_student_forwarded_once_per_domain(self, small_setup, monkeypatch):
         dataset, config = small_setup

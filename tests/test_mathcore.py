@@ -136,6 +136,14 @@ class TestTemperatureSoftmax:
         probs = mathcore.temperature_softmax([0.1, 0.5, 0.9], 0.7)
         assert probs[0] < probs[1] < probs[2]
 
+    @pytest.mark.parametrize("width", range(2, 10))
+    def test_is_the_training_softmax_byte_for_byte(self, width):
+        # criteria 1 and 3 check this function, so it must be the kernel training runs
+        rng = np.random.default_rng(width)
+        for z in rng.normal(scale=10.0, size=(200, width)):
+            assert (mathcore.temperature_softmax(z, 1.0).tobytes()
+                    == losses.class_probabilities(z[None])[0].tobytes())
+
 
 class TestSigmoidProbability:
     def test_zero_score(self):

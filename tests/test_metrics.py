@@ -517,6 +517,19 @@ class TestTpRatio:
         assert metrics.class_average({0: 1.0, 1: 0.5}) == pytest.approx(0.75)
         assert np.isnan(metrics.class_average({}))
 
+    def test_class_average_of_finite_entries_is_finite(self):
+        # the sum of these entries overflows; their mean does not
+        assert metrics.class_average({0: 1e308, 1: 1e308}) == 1e308
+        assert metrics.class_average({0: 1e308, 1: 1e308, 2: -1e308}) == pytest.approx(1e308 / 3)
+        assert np.isnan(metrics.class_average({0: np.inf, 1: -np.inf}))
+        assert metrics.class_average({0: np.inf, 1: 1.0}) == np.inf
+
+    def test_class_average_is_numpy_s_mean_where_that_is_finite(self):
+        rng = np.random.default_rng(5)
+        for size in range(1, 12):
+            values = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=size)
+            assert metrics.class_average(dict(enumerate(values))) == float(np.mean(values))
+
 
 class TestPcaProject2d:
     def test_axis_aligned_data_recovered(self):

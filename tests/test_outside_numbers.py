@@ -68,15 +68,19 @@ def checkpoint_with(edit):
     return argv
 
 
-def artifact_with(name, edit):
-    """``report`` of a copy of the trained run whose artifact ``name`` is ``edit(text)``."""
+def artifact_with(name, edit, *more):
+    """``report`` of a copy of the trained run whose artifact ``name`` is ``edit(text)``, and of
+    one more copy for each further ``(name, edit)`` pair in ``more``."""
     def argv(data, run_dir, tmp_path):
-        copy = tmp_path / "run"
-        copy.mkdir()
-        for path in run_dir.iterdir():
-            text = path.read_text()
-            (copy / path.name).write_text(edit(text) if path.name == name else text)
-        return ["report", str(copy)]
+        copies = []
+        for i, (changed, change) in enumerate([(name, edit), *more]):
+            copy = tmp_path / f"run{i or ''}"
+            copy.mkdir()
+            for path in run_dir.iterdir():
+                text = path.read_text()
+                (copy / path.name).write_text(change(text) if path.name == changed else text)
+            copies.append(str(copy))
+        return ["report", *copies]
     return argv
 
 
@@ -144,6 +148,33 @@ def table_key(table, spelling):
         doc = json.loads(text)
         doc[table][spelling] = 2.0 * doc[table]["1"]
         return json.dumps(doc)
+    return edit
+
+
+def table_entries(table, entries):
+    """``metrics.json`` with the entries of ``table`` updated by ``entries``."""
+    def edit(text):
+        doc = json.loads(text)
+        doc[table].update(entries)
+        return json.dumps(doc)
+    return edit
+
+
+def data_rows(rows):
+    """A CSV edit that replaces data row i by ``rows[i]`` (rows counted from 1)."""
+    def edit(text):
+        lines = text.splitlines()
+        for i, row in rows.items():
+            lines[i] = row
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def every_x(value):
+    """A ``projection.csv`` edit that puts every point at ``x = value``."""
+    def edit(text):
+        header, *lines = text.splitlines()
+        return "\n".join([header, *(f"{value},{line.split(',', 1)[1]}" for line in lines)]) + "\n"
     return edit
 
 
@@ -277,6 +308,20 @@ ROWS = {
     "report source_variance key '+1'":
         (artifact_with("metrics.json", table_key("source_variance", "+1")), "ParseError",
          "'source_variance'"),
+    "report rank scatter points at 1e308 and -1e308":
+        (artifact_with("rank_scatter.csv", data_rows({1: "1e308,1e308", 2: "-1e308,-1e308"})),
+         None, None),
+    "report projection points at 1e308 and -1e308":
+        (artifact_with("projection.csv", data_rows({1: "1e308,1e308,0", 2: "-1e308,-1e308,0"})),
+         None, None),
+    "report projection with every x at 1e20":
+        (artifact_with("projection.csv", every_x("1e20")), None, None),
+    "report mean_shift classes 0 and 1 at 1e308":
+        (artifact_with("metrics.json", table_entries("mean_shift", {"0": 1e308, "1": 1e308})),
+         None, None),
+    "report mean_shift class 0 at 1e308 against -1e308":
+        (artifact_with("metrics.json", table_entries("mean_shift", {"0": 1e308}),
+                       ("metrics.json", table_entries("mean_shift", {"0": -1e308}))), None, None),
     "report infinite projection x":
         (artifact_with("projection.csv", infinite_x_on_line_3), "ParseError",
          "projection.csv line 3"),
@@ -300,6 +345,8 @@ def test_one_error_line_or_a_clean_exit(trained, tmp_path, capsys, make_argv, er
     err = capsys.readouterr().err
     if error is None:
         assert (code, err) == (0, "")
+        for svg in out.glob("*.svg"):
+            assert "nan" not in svg.read_text()
     else:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {error}: ")
