@@ -28,9 +28,9 @@ from .errors import ConfigError, IoError, MissingArtifact, PacfError, ParseError
 from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
-from .synthbench import (DomainShiftSpec, LabeledBatch, format_column, generate, load_dump,
-                         load_relabeled, parse_finite, parse_int64, read_csv, save_dump,
-                         save_relabeled, write_csv, write_text)
+from .synthbench import (MIRROR_SUFFIX, DomainShiftSpec, LabeledBatch, format_column, generate,
+                         load_dump, load_relabeled, parse_finite, parse_int64, read_csv,
+                         save_dump, save_mirror, save_relabeled, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -145,9 +145,11 @@ def cmd_gen(args, out: OutDir) -> str:
     spec = spec_from_config(effective)
     pair = generate(spec)
     n_t = len(pair.target_features)
-    save_dump(pair.source, out(SOURCE_FILE))
-    save_dump(LabeledBatch(pair.target_features, np.full(n_t, -1, dtype=np.int64),
-                           np.full(n_t, -1.0)), out(TARGET_FILE))
+    target = LabeledBatch(pair.target_features, np.full(n_t, -1, dtype=np.int64),
+                          np.full(n_t, -1.0))
+    for name, batch in ((SOURCE_FILE, pair.source), (TARGET_FILE, target)):
+        save_dump(batch, out(name))
+        save_mirror(batch, out(name), out(name + MIRROR_SUFFIX))
     save_relabeled(out(HIDDEN_FILE), out(TARGET_FILE), pair.target_hidden_labels)
     return config_hash(effective)
 

@@ -87,7 +87,9 @@ def evaluate_state(state: AdaptationState, config: TrainerConfig, source: Labele
         hidden = np.asarray(target_hidden_labels, dtype=np.int64)
     known = hidden >= 0
     checked = known[pseudo.indices]
-    tgt_known, hidden_known = tgt_unit[known], hidden[known]
+    tgt_known, hidden_known = tgt_unit, hidden
+    if not known.all():  # a copy of the known rows only where some label is unknown
+        tgt_known, hidden_known = tgt_unit[known], hidden[known]
 
     report = metrics.MetricsReport(
         source_variance=metrics.intra_class_variance(src_unit, source.labels),

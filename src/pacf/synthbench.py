@@ -1,6 +1,7 @@
 """Synthetic domain-shift benchmark, feature dumps, and the CSV codec
 (:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through;
-:func:`save_relabeled` copies the text of a dump it wrote.
+:func:`save_relabeled` copies the text of a dump it wrote, and :func:`save_mirror` writes a
+binary copy of one that :func:`load_dump` reads while the dump's bytes are unchanged.
 
 The generator models the two failure modes a detector meets after a domain
 change: every class-conditional distribution on the target is mean-shifted
@@ -13,6 +14,7 @@ numpy's PCG64, so a given seed always reproduces the same datasets.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import warnings
@@ -30,6 +32,8 @@ CSV_BLOCK_ROWS = 1024  # rows that write_csv, and save_relabeled's labels, forma
 _INT64 = np.iinfo(np.int64)
 # every byte of a dump's data lines as save_dump writes them, and \r of other line ends
 _DUMP_BYTES = b"0123456789+-.e,\n\r"
+MIRROR_SUFFIX = ".mirror"  # the mirror of source.csv is source.csv.mirror
+_MIRROR_MAGIC = b"pacf dump mirror 1\n"
 
 
 def check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +179,19 @@ def write_text(path, text) -> None:
     A sibling temporary file replaces ``path`` in one rename, so a write cut
     short, by an OSError or by any exception of the iterable, leaves the
     previous file intact."""
+    def write(fh):
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk)
+    _write_atomically(path, write, "w", encoding="utf-8", newline="\n")
+
+
+def _write_atomically(path, write, mode, **options) -> None:
+    """``write(fh)`` into a sibling temporary file opened with ``mode`` and ``options``,
+    then one rename onto ``path``, as :func:`write_text` describes."""
     temporary = f"{path}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8", newline="\n") as fh:
-            for chunk in [text] if isinstance(text, str) else text:
-                fh.write(chunk)
+        with open(temporary, mode, **options) as fh:
+            write(fh)
         os.replace(temporary, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -319,11 +331,14 @@ def _parse_dump_row(cells: list[str]) -> tuple[int, float, list[float]]:
 def load_dump(path) -> LabeledBatch:
     """Read a CSV feature dump; the exact inverse of :func:`save_dump`.
 
-    A well-formed dump is read by numpy's C reader; any other file goes
-    through :func:`read_csv`, which decides what is accepted and names the
-    first bad line.
+    A dump with a mirror that :func:`save_mirror` wrote for its current bytes is read
+    from the mirror. Otherwise a well-formed dump is read by numpy's C reader; any
+    other file goes through :func:`read_csv`, which decides what is accepted and names
+    the first bad line.
     """
-    batch = _load_well_formed_dump(path)
+    batch = _load_mirror(path)
+    if batch is None:
+        batch = _load_well_formed_dump(path)
     if batch is not None:
         return batch
     labels, scores, features = zip(*read_csv(path, _dump_header_ok, _parse_dump_row))
@@ -362,6 +377,86 @@ def _load_well_formed_dump(path) -> LabeledBatch | None:
         return None
     return LabeledBatch(np.ascontiguousarray(features), np.ascontiguousarray(table["label"]),
                         np.ascontiguousarray(scores))
+
+
+def save_mirror(batch: LabeledBatch, csv_path, path) -> None:
+    """Write to ``path`` the binary mirror of the dump at ``csv_path``, which must hold
+    ``batch`` as :func:`save_dump` wrote it; :func:`load_dump` reads the dump from it when
+    ``path`` is ``csv_path`` + ``MIRROR_SUFFIX``.
+
+    A magic line, the hex :func:`_mirror_digest` on a line of its own, then the labels,
+    scores and features as ``np.lib.format`` 1.0 streams: no time stamp, so reruns write
+    the same bytes. The write is atomic, as :func:`write_text`'s is.
+    """
+    arrays = [np.ascontiguousarray(array)
+              for array in (batch.labels, batch.scores, batch.features)]
+
+    def write(fh):
+        fh.write(_MIRROR_MAGIC + _mirror_digest(csv_path, arrays) + b"\n")
+        for array in arrays:
+            np.lib.format.write_array(fh, array, version=(1, 0), allow_pickle=False)
+    _write_atomically(path, write, "wb")
+
+
+def _mirror_digest(csv_path, arrays) -> bytes:
+    """The hex SHA-256 of the bytes of ``csv_path``, read a MiB at a time, followed by
+    each array's shape and data; a ValueError for an array that is not C-contiguous."""
+    digest = hashlib.sha256()
+    with open(csv_path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    for array in arrays:
+        digest.update(repr(array.shape).encode("ascii"))
+        digest.update(array)
+    return digest.hexdigest().encode("ascii")
+
+
+def _load_mirror(path) -> LabeledBatch | None:
+    """The batch in the mirror of the dump at ``path``, or None unless :func:`save_mirror`
+    wrote it for ``path``'s current bytes.
+
+    The mirror must hold just an int64 label vector, a finite float64 score vector and a
+    C-order finite float64 feature matrix, one row per label and at least one row and
+    column, under the digest that ``path``'s bytes and these arrays give now. Any other
+    mirror, a missing one and an OSError give None, with no warning.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(f"{path}{MIRROR_SUFFIX}", "rb") as fh:
+                if fh.read(len(_MIRROR_MAGIC)) != _MIRROR_MAGIC:
+                    return None
+                stored = fh.read(65)
+                size = os.fstat(fh.fileno()).st_size
+                labels, scores, features = (
+                    _read_mirror_array(fh, np.dtype(dtype), ndim, size)
+                    for dtype, ndim in ((np.int64, 1), (np.float64, 1), (np.float64, 2)))
+                if fh.tell() != size:
+                    return None
+        if (len(scores) != len(labels) or len(features) != len(labels) or features.size == 0
+                or not np.isfinite(scores).all()
+                or stored != _mirror_digest(path, (labels, scores, features)) + b"\n"):
+            return None
+        return LabeledBatch(features, labels, scores)  # a ValueError for non-finite features
+    except (OSError, ValueError, Warning):
+        return None
+
+
+def _read_mirror_array(fh, dtype: np.dtype, ndim: int, size: int) -> np.ndarray:
+    """The next ``np.lib.format`` stream of ``fh``, read with ``allow_pickle=False``; a
+    ValueError unless it is version 1.0 and holds an array of ``dtype`` with ``ndim``
+    axes whose data fits in the rest of the file's ``size`` bytes. The header is
+    checked before numpy's reader allocates the array; bounding each side by ``size``
+    also keeps a zero-size shape's element count within the int64 numpy counts in."""
+    start = fh.tell()
+    version = np.lib.format.read_magic(fh)
+    shape, _, stored = np.lib.format.read_array_header_1_0(fh)
+    if (version != (1, 0) or stored != dtype or len(shape) != ndim
+            or not all(0 <= side <= size for side in shape)
+            or math.prod(shape) * dtype.itemsize > size - fh.tell()):
+        raise ValueError("not an array stream that save_mirror writes")
+    fh.seek(start)
+    return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def load_relabeled(path, base_path, base: LabeledBatch) -> LabeledBatch:

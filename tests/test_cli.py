@@ -54,7 +54,8 @@ class TestGen:
         out = tmp_path / "data"
         out.mkdir()
         assert run(["gen", "--config", config_path, "--out", str(out)]) == 0
-        for name in ("source.csv", "target.csv", "target_hidden.csv", "manifest.json"):
+        for name in ("source.csv", "source.csv.mirror", "target.csv", "target.csv.mirror",
+                     "target_hidden.csv", "manifest.json"):
             assert (out / name).exists()
         source_lines = (out / "source.csv").read_text().splitlines()
         assert len(source_lines) == 1 + 4 * 50
@@ -514,8 +515,10 @@ class TestEval:
 
 
 class TestDumpParses:
-    """``train`` and ``eval`` parse two dumps in full per data directory: the rows of
-    ``target_hidden.csv`` that repeat ``target.csv``'s feature text are not parsed again."""
+    """``train`` and ``eval`` parse no dump in full in a data directory ``gen`` wrote, whose
+    ``source.csv`` and ``target.csv`` are read from their mirrors. Without the mirrors, as
+    for external dumps, they parse two: the rows of ``target_hidden.csv`` that repeat
+    ``target.csv``'s feature text are not parsed again."""
 
     @pytest.fixture()
     def full_parses(self, monkeypatch):
@@ -536,8 +539,18 @@ class TestDumpParses:
         counted("read_csv")
         return parses
 
+    @staticmethod
+    def without_mirrors(data, tmp_path):
+        """A copy of the data directory ``data`` with the mirrors deleted."""
+        copy = tmp_path / "external"
+        shutil.copytree(data, copy)
+        for mirror in copy.glob(f"*{synthbench.MIRROR_SUFFIX}"):
+            mirror.unlink()
+        return copy
+
     def test_train_parses_two_dumps(self, trained_run, tmp_path, config_path, full_parses):
         data, _ = trained_run
+        data = self.without_mirrors(data, tmp_path)
         out = tmp_path / "again"
         out.mkdir()
         assert run(["train", "--config", config_path, "--data", str(data),
@@ -546,12 +559,75 @@ class TestDumpParses:
 
     def test_eval_parses_two_dumps(self, trained_run, tmp_path, full_parses):
         data, run_dir = trained_run
+        data = self.without_mirrors(data, tmp_path)
         out = tmp_path / "eval"
         out.mkdir()
         assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(data), "--out", str(out)]) == 0
         assert full_parses == ["source.csv", "target.csv"]
         assert (out / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
+
+    def test_gen_made_directory_parses_none(self, trained_run, tmp_path, config_path,
+                                            full_parses):
+        data, run_dir = trained_run
+        again, evaluated = tmp_path / "again", tmp_path / "eval"
+        again.mkdir()
+        evaluated.mkdir()
+        assert run(["train", "--config", config_path, "--data", str(data),
+                    "--out", str(again)]) == 0
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(evaluated)]) == 0
+        assert full_parses == []
+        assert read_bytes_map(again) == read_bytes_map(run_dir)
+        assert (evaluated / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
+
+
+class TestDumpMirrors:
+    """``gen`` writes a mirror beside ``source.csv`` and ``target.csv``; reading one gives the
+    batch the CSV parse gives, bit for bit."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"class_count": 1},
+        {"dim": 2},
+        {"source_std": 1e-300, "mean_scale": 1e-300, "target_mean_shift": 1e-300},
+        {"source_std": 1e300, "mean_scale": 1e300, "target_mean_shift": 1e300,
+         "target_std_multiplier": 1.0},
+        # every mean is a signed zero and every draw rounds to a signed subnormal or zero
+        {"source_std": 5e-324, "mean_scale": 0.0, "target_mean_shift": 0.0},
+    ], ids=["one class", "dim 2", "1e-300", "1e300", "negative zeros"])
+    def test_mirror_reads_equal_csv_reads(self, tmp_path, overrides):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["benchmark"].update(overrides)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        out.mkdir()
+        assert run(["gen", "--config", str(config), "--out", str(out)]) == 0
+        for name in (cli.SOURCE_FILE, cli.TARGET_FILE):
+            mirrored = synthbench._load_mirror(out / name)
+            parsed = synthbench._load_well_formed_dump(out / name)
+            assert mirrored is not None and parsed is not None
+            for field in ("features", "labels", "scores"):
+                a, b = getattr(mirrored, field), getattr(parsed, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.flags["C_CONTIGUOUS"] and b.flags["C_CONTIGUOUS"]
+                assert a.tobytes() == b.tobytes(), field
+            if overrides.get("mean_scale") == 0.0:
+                assert (np.signbit(parsed.features) & (parsed.features == 0)).any()
+
+    @pytest.mark.parametrize("name", ["source.csv", "target.csv"])
+    def test_deleted_dump_with_mirror_fails_with_io_error(self, trained_run, tmp_path, capsys,
+                                                          name):
+        data, run_dir = trained_run
+        path = data / name
+        path.unlink()
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: IoError: cannot read {path}: [Errno 2] "
+                                           f"No such file or directory: '{path}'\n")
+        assert os.listdir(out) == []
 
 
 class TestGenFormatsEachFloatOnce:

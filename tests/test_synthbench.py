@@ -1,3 +1,9 @@
+import io
+import pickle
+import time
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -560,6 +566,260 @@ class TestSaveRelabeled:
         peak = traced_peak(synthbench.save_relabeled, tmp_path / "hidden.csv", base_path,
                            batch.labels)
         assert peak < 0.1 * base_path.stat().st_size
+
+
+def save_mirrored(batch, path):
+    """``save_dump``, then ``save_mirror`` beside it, as ``pacf gen`` writes a dump."""
+    save_dump(batch, path)
+    synthbench.save_mirror(batch, path, mirror_path(path))
+
+
+def mirror_path(path):
+    return path.with_name(path.name + synthbench.MIRROR_SUFFIX)
+
+
+def mirror_bytes(arrays, digest, allow_pickle=False) -> bytes:
+    """A mirror of ``arrays`` in ``save_mirror``'s layout, with ``digest`` as its stored digest."""
+    fh = io.BytesIO()
+    fh.write(synthbench._MIRROR_MAGIC + digest + b"\n")
+    for array in arrays:
+        np.lib.format.write_array(fh, array, version=(1, 0), allow_pickle=allow_pickle)
+    return fh.getvalue()
+
+
+def mirror_batch():
+    features = np.random.default_rng(43).normal(size=(6, 3)) * 1e3
+    features[0, 0] = -0.0
+    return LabeledBatch(features, [0, 1, -1, 2, 9, 3], [0.5, -1.0, 0.25, 1.0, 0.0, 2.5])
+
+
+def bound(*edit):
+    """A mirror of the batch's three arrays, each edited by ``edit``'s function at its place
+    (None leaves one as it is), under the digest ``save_mirror`` computes for them: only the
+    reader's checks of their shape, dtype and values can turn it away."""
+    def mutate(data, path, batch):
+        arrays = [array if fn is None else fn(array)
+                  for fn, array in zip(edit, (batch.labels, batch.scores, batch.features))]
+        return mirror_bytes(arrays, synthbench._mirror_digest(path, arrays))
+    return mutate
+
+
+def stale(*edit, allow_pickle=False):
+    """Like :func:`bound`, under the digest of the unedited arrays."""
+    def mutate(data, path, batch):
+        arrays = (batch.labels, batch.scores, batch.features)
+        digest = synthbench._mirror_digest(path, arrays)
+        arrays = [array if fn is None else fn(array) for fn, array in zip(edit, arrays)]
+        return mirror_bytes(arrays, digest, allow_pickle)
+    return mutate
+
+
+def npy_bytes(array) -> bytes:
+    fh = io.BytesIO()
+    np.save(fh, array)
+    return fh.getvalue()
+
+
+def flip(find, offset=0):
+    """The mirror with the low bit flipped of the byte ``offset`` bytes past the first
+    ``find``."""
+    def mutate(data, path, batch):
+        at = data.index(find) + offset
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    return mutate
+
+
+def features_shape(shape, padding=0):
+    """The mirror with ``shape`` in the header of its features, whose data follows, then
+    ``padding`` zero bytes."""
+    def mutate(data, path, batch):
+        fh = io.BytesIO()
+        np.lib.format.write_array(fh, batch.labels, version=(1, 0))
+        np.lib.format.write_array(fh, batch.scores, version=(1, 0))
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        digest = synthbench._mirror_digest(path, (batch.labels, batch.scores, batch.features))
+        return (synthbench._MIRROR_MAGIC + digest + b"\n" + fh.getvalue()
+                + batch.features.tobytes() + bytes(padding))
+    return mutate
+
+
+def repartitioned(data, path, batch):
+    """The bytes of the three arrays cut into 3 labels, 3 scores and 3 rows of 8 features,
+    all finite, under the digest of the arrays as written."""
+    arrays = (batch.labels, batch.scores, batch.features)
+    raw = b"".join(array.tobytes() for array in arrays)
+    cut = [np.frombuffer(raw[:24], np.int64), np.frombuffer(raw[24:48], np.float64),
+           np.frombuffer(raw[48:], np.float64).reshape(3, 8)]
+    assert all(np.isfinite(array).all() for array in cut[1:])
+    return mirror_bytes(cut, synthbench._mirror_digest(path, arrays))
+
+
+def python2_header(data, path, batch):
+    """The labels' header with ``6L``, a Python 2 long, as its row count; numpy reads it
+    with a warning."""
+    old, new = b"'shape': (6,), } ", b"'shape': (6L,), }"
+    assert data.count(old) == 2  # the labels' header, then the scores'
+    return data.replace(old, new, 1)
+
+
+UNPICKLED = []
+
+
+class Tripwire:
+    """An object that records its unpickling."""
+
+    def __reduce__(self):
+        return UNPICKLED.append, ("unpickled",)
+
+
+def other_dump(data, path, batch):
+    other = path.with_name("other.csv")
+    save_mirrored(LabeledBatch(batch.features + 1.0, batch.labels, batch.scores), other)
+    return mirror_path(other).read_bytes()
+
+
+# name -> edit (mirror bytes, dump path, batch) -> mirror bytes; every one must be turned away
+MIRROR_MUTATIONS = {
+    "empty": lambda data, path, batch: b"",
+    "cut inside the magic line": lambda data, path, batch: data[:5],
+    "cut inside the digest": lambda data, path, batch: data[:40],
+    "cut by one byte": lambda data, path, batch: data[:-1],
+    "cut in half": lambda data, path, batch: data[:len(data) // 2],
+    "one byte appended": lambda data, path, batch: data + b"\0",
+    "bit flip in the magic line": flip(b"mirror"),
+    "bit flip in the digest": flip(b"\n", 10),
+    "bit flip in a label's dtype": flip(b"<i8", 2),
+    "bit flip in a shape": flip(b"'shape': (6", 10),
+    "bit flip in a label": flip(b"\x00\x00\x00\x00\x00\x00\x00\x00\x01"),
+    "bit flip in the last feature": lambda data, path, batch: data[:-1] + bytes([data[-1] ^ 1]),
+    "features flattened": bound(None, None, np.ravel),
+    "features of half the rows": bound(None, None, lambda f: f.reshape(3, 6)),
+    "labels as a column": bound(lambda labels: labels[:, None], None, None),
+    "one score short": bound(None, lambda scores: scores[:-1], None),
+    "no rows": bound(lambda labels: labels[:0], lambda scores: scores[:0],
+                     lambda features: features[:0]),
+    "no columns": bound(None, None, lambda features: features[:, :0]),
+    "fortran-order features": stale(None, None, np.asfortranarray),
+    "int32 labels": bound(lambda labels: labels.astype(np.int32), None, None),
+    "int64 scores": bound(None, lambda scores: scores.astype(np.int64), None),
+    "float32 features": bound(None, None, lambda features: features.astype(np.float32)),
+    "big-endian features": bound(None, None, lambda features: features.astype(">f8")),
+    "object features": stale(None, None, lambda f: f.astype(object), allow_pickle=True),
+    "a pickled object": stale(None, None, lambda f: np.array([Tripwire()] * 3),
+                              allow_pickle=True),
+    "a pickle in place of a stream": lambda data, path, batch: (
+        mirror_bytes([batch.labels, batch.scores], b"0" * 64) + pickle.dumps(batch.features)),
+    "an .npy file": lambda data, path, batch: npy_bytes(batch.features),
+    "the dump itself": lambda data, path, batch: path.read_bytes(),
+    "a shape past the file": features_shape((10 ** 12, 3)),
+    "a negative shape": features_shape((-1, 3)),
+    # each side within the file, 8 TiB in all: numpy would fail to allocate it
+    "more elements than the file holds": features_shape((2 ** 20, 2 ** 20), 2 ** 20),
+    "a zero-size shape past int64": features_shape((0, 10 ** 30)),
+    "the same bytes in other shapes": repartitioned,
+    "a Python 2 header": python2_header,
+    "version 2.0 streams": lambda data, path, batch: data.replace(b"NUMPY\x01\x00",
+                                                                  b"NUMPY\x02\x00"),
+    "a nan score": bound(None, lambda scores: np.where(scores > 2, np.nan, scores), None),
+    "an infinite feature": bound(None, None, lambda f: np.where(f > 900, np.inf, f)),
+    "the mirror of another dump": other_dump,
+}
+
+
+class TestMirror:
+    """A dump with its ``save_mirror`` mirror reads from the mirror while the two are bound;
+    any other dump reads as if there were no mirror, with no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_mirror_read_equals_csv_read(self, tmp_path):
+        rng = np.random.default_rng(44)
+        path = tmp_path / "dump.csv"
+        for _ in range(30):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-320, 300, size=(n, dim))
+            features[rng.random((n, dim)) < 0.05] = -0.0
+            labels = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=n,
+                                  endpoint=True)
+            save_mirrored(LabeledBatch(features, labels, rng.uniform(-1.0, 1.0, size=n)), path)
+            mirrored = synthbench._load_mirror(path)
+            assert mirrored is not None
+            assert_same_load(mirrored, oracle_load_dump(path))
+
+    @pytest.mark.parametrize("mutate", MIRROR_MUTATIONS.values(), ids=MIRROR_MUTATIONS.keys())
+    def test_mutated_mirror_is_turned_away(self, tmp_path, mutate):
+        path = tmp_path / "dump.csv"
+        batch = mirror_batch()
+        save_mirrored(batch, path)
+        data = mutate(mirror_path(path).read_bytes(), path, batch)
+        mirror_path(path).write_bytes(data)
+        UNPICKLED.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert synthbench._load_mirror(path) is None
+            got = load_outcome(load_dump, path)
+        assert [str(w.message) for w in caught] == []
+        assert_same_load(got, load_outcome(oracle_load_dump, path))
+        assert UNPICKLED == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_same_length_cell_edit_reads_the_csv(self, tmp_path):
+        rng = np.random.default_rng(45)
+        path = tmp_path / "dump.csv"
+        save_mirrored(mirror_batch(), path)
+        clean = path.read_bytes()
+        header = len(clean.split(b"\n")[0]) + 1
+        cells = [at for at in range(header, len(clean)) if clean[at] not in b",\n"]
+        for at in rng.choice(cells, size=60, replace=False).tolist():
+            new = bytes([clean[at] ^ int(rng.integers(1, 8))])
+            path.write_bytes(clean[:at] + new + clean[at + 1:])
+            assert synthbench._load_mirror(path) is None
+            assert_same_load(load_outcome(load_dump, path), load_outcome(oracle_load_dump, path))
+
+    def test_deleted_dump_raises_io_error(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        save_mirrored(mirror_batch(), path)
+        path.unlink()
+        got = load_outcome(load_dump, path)
+        assert isinstance(got, IoError)
+        assert_same_load(got, load_outcome(oracle_load_dump, path))
+
+    def test_dump_without_mirror_is_not_hashed(self, tmp_path, monkeypatch):
+        path = tmp_path / "dump.csv"
+        save_dump(mirror_batch(), path)
+
+        def no_digest(*args):
+            raise AssertionError("a dump without a mirror was hashed")
+
+        monkeypatch.setattr(synthbench, "_mirror_digest", no_digest)
+        assert_same_load(load_dump(path), synthbench._load_well_formed_dump(path))
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        path = tmp_path / "dump.csv"
+        batch = mirror_batch()
+        save_dump(batch, path)
+        mirrors, archives = [], []
+        for day in (0, 1):
+            now = 1.7e9 + 86400.0 * day
+            monkeypatch.setattr(time, "time", lambda: now)
+            monkeypatch.setattr(time, "time_ns", lambda: int(now) * 10 ** 9)
+            synthbench.save_mirror(batch, path, tmp_path / f"day{day}.mirror")
+            mirrors.append((tmp_path / f"day{day}.mirror").read_bytes())
+            archive = io.BytesIO()
+            with zipfile.ZipFile(archive, "w") as zf:
+                zf.writestr("features", batch.features.tobytes())
+            archives.append(archive.getvalue())
+        assert archives[0] != archives[1]  # the patched clock reaches a writer that stamps it
+        assert mirrors[0] == mirrors[1]
+
+    def test_failed_write_leaves_previous_mirror(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        save_mirrored(mirror_batch(), path)
+        before = mirror_path(path).read_bytes()
+        with pytest.raises(IoError, match="cannot write .*dump.csv.mirror: .*absent.csv"):
+            synthbench.save_mirror(mirror_batch(), tmp_path / "absent.csv", mirror_path(path))
+        assert mirror_path(path).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.csv", "dump.csv.mirror"]
 
 
 class TestWriteText:
