@@ -1,7 +1,8 @@
 """Vector geometry and probability primitives shared by the other modules.
 
-Everything here is a pure function over float64 arrays. The public vector
-operations validate 1-D inputs; ``sigmoid``, ``softplus`` and
+Everything here is a pure function over float64 arrays, apart from the ``out``
+array ``sigmoid`` may write to. The public vector operations validate 1-D
+inputs; ``sigmoid``, ``softplus`` and
 ``clamped_log`` act elementwise, and the ``*_rows`` kernels act along the
 last axis, so one formula serves a single vector and a batch of rows alike.
 
@@ -118,16 +119,24 @@ def softmax_vjp(probs, grad_probs) -> np.ndarray:
     return softmax_vjp_rows(p, g)
 
 
-def sigmoid(z) -> np.ndarray:
-    """Numerically stable logistic function, elementwise.
+def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, elementwise, as an array of z's shape.
 
-    With e = exp(-|z|) it is 1 / (1 + e) for z >= 0 and e / (1 + e) otherwise.
-    -|z| is taken as min(z, -z), which keeps the sign of a NaN input.
+    With e = exp(-|z|) <= 1 it is 1 / (1 + e) for z >= 0 and e / (1 + e) otherwise,
+    taken in one division as max(e, z >= 0) / (1 + e). -|z| is taken as min(z, -z),
+    which keeps the sign of a NaN input. The result is written to ``out`` when given
+    (a float64 array of z's shape, returned), and ``out`` may be ``z`` itself.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(np.minimum(z, -z))
-    denominator = 1.0 + e
-    return np.where(z >= 0.0, 1.0 / denominator, e / denominator)
+    if out is None:
+        out = np.empty_like(z)
+    elif np.may_share_memory(z, out):
+        z = z.copy()
+    e = np.minimum(z, np.negative(z, out=out), out=out)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, z >= 0.0)
+    e += 1.0
+    return np.divide(numerator, e, out=out)
 
 
 def softplus(z) -> np.ndarray:

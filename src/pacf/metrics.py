@@ -98,31 +98,32 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     standardized embeddings of an affine extractor do, each step's two products go
     through the (n, r) factor ``a = x @ basis`` (see ``_column_basis``), while ``w``
     stays in the full space, so the ridge acts on all of it. The factor changes ``w``
-    only at the rounding level. Otherwise the products use ``x`` itself.
+    only at the rounding level. Otherwise the products use ``x`` itself. The steps
+    share two (n,) buffers, allocated once: the logits ``a @ v``, and the sigmoid of
+    the logits, from which ``y`` is then subtracted in place.
     """
     n = len(y)
     basis = _column_basis(x)
-    if basis is None:
-        def gradient(w):
-            return x.T @ (sigmoid(x @ w) - y) / n
-    else:
-        a = np.asfortranarray(x @ basis)  # column-major: a.T @ r runs on contiguous rows
-
-        def gradient(w):
-            return basis @ (a.T @ (sigmoid(a @ (basis.T @ w)) - y)) / n
+    # the factor column-major: a.T @ r runs on contiguous rows
+    a = x if basis is None else np.asfortranarray(x @ basis)
+    logits, residual = np.empty(n), np.empty(n)
     w = np.zeros(x.shape[1])
     for _ in range(400):
-        grad = gradient(w)
+        np.matmul(a, w if basis is None else basis.T @ w, out=logits)
+        np.subtract(sigmoid(logits, out=residual), y, out=residual)
+        grad = a.T @ residual
+        grad = (grad if basis is None else basis @ grad) / n
         grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
         w = w - grad
     return w
 
 
-def _pooled_rows(xs: np.ndarray, xt: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the pooled ``[xs; xt]``, without building the pool, in the first
-    columns of a C-contiguous (len(rows), d + 1) array whose last column is 1 (the bias)."""
-    out = np.empty((len(rows), xs.shape[1] + 1))
-    out[:, -1] = 1.0
+def _pooled_rows(xs: np.ndarray, xt: np.ndarray, rows: np.ndarray,
+                 design: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the pooled ``[xs; xt]``, without building the pool, written to the
+    first columns of the first len(rows) rows of ``design``, a C-contiguous (>= len(rows),
+    d + 1) array whose last column is 1 (the bias); returns those rows."""
+    out = design[:len(rows)]
     x = out[:, :-1]
     from_source = rows < len(xs)
     x[from_source] = xs[rows[from_source]]
@@ -147,10 +148,13 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     indistinguishable domains (eps = 0.5) to 1.0, not 0. A NaN or infinite
     embedding entry gives nan, and so does an overflow of float64: a train-half
     column whose mean or spread overflows, or a held-out row whose standardized
-    score is undefined (inf - inf). Each half is gathered once, into its own
-    design matrix, so the peak memory is about two copies of the train half;
-    the fit (see ``_fit_logistic``) adds its (rows, r) factor when the train
-    half spans only r < d + 1 dimensions.
+    score is undefined (inf - inf). Both halves are gathered in turn into one
+    design buffer, sized for the held-out half (which has the extra row of an odd
+    pooled count): the train half while the probe is fitted, then the held-out half
+    over the same pages. With the train half's column spread, which takes a copy of
+    that half, the peak memory is about two copies of a half; the fit (see
+    ``_fit_logistic``) adds its (rows, r) factor when the train half spans only
+    r < d + 1 dimensions.
     """
     xs = np.asarray(source_embeddings, dtype=np.float64)
     xt = np.asarray(target_embeddings, dtype=np.float64)
@@ -163,7 +167,9 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
     perm = rng.permutation(len(xs) + len(xt))
     y = (perm >= len(xs)).astype(np.float64)  # the domain of each permuted row
     half = len(perm) // 2
-    train = _pooled_rows(xs, xt, perm[:half])
+    design = np.empty((len(perm) - half, xs.shape[1] + 1))
+    design[:, -1] = 1.0
+    train = _pooled_rows(xs, xt, perm[:half], design)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = train[:, :-1].mean(axis=0)
         sd = train[:, :-1].std(axis=0)
@@ -171,11 +177,10 @@ def proxy_a_distance(source_embeddings, target_embeddings) -> float:
         return float("nan")
     sd = np.where(sd < 1e-12, 1.0, sd)
     w = _fit_logistic(_standardize(train, mu, sd), y[:half])
-    del train
     # a held-out row far outside the train half's spread may overflow to an infinite score,
     # whose sign still classifies it
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = _standardize(_pooled_rows(xs, xt, perm[half:]), mu, sd) @ w
+        scores = _standardize(_pooled_rows(xs, xt, perm[half:], design), mu, sd) @ w
     if np.isnan(scores).any():
         return float("nan")
     eps = float(np.mean((scores >= 0.0) != y[half:]))

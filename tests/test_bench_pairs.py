@@ -1,4 +1,5 @@
-"""``tools/bench_pairs.py``'s pure functions: seed lists, quartiles and the pair summary.
+"""``tools/bench_pairs.py``'s pure functions: seed lists, quartiles, the pair summary and
+the progress line.
 
 The tool is a script, not a module of the package, so it is loaded by path. Nothing
 here runs perfbench or starts a process.
@@ -87,7 +88,7 @@ class TestRunLength:
 
     @pytest.fixture()
     def runs(self, tmp_path, monkeypatch):
-        declared = {"run_seconds": 7, "end_to_end": [{"name": "adapt_steps_per_s",
+        declared = {"run_seconds": 7, "end_to_end": [{"name": "adapt_steps_per_s", "unit": "1/s",
                                                       "better": "higher"}]}
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
         calls = []
@@ -115,3 +116,39 @@ class TestRunLength:
         calls, command = runs("--seconds", "20")
         assert calls == [20.0, 20.0]
         assert "--seconds 20 " in command
+
+
+class TestProgressLine:
+    """Each pair prints both sides' declared end-to-end metrics; no perfbench run starts."""
+
+    @pytest.fixture()
+    def printed(self, tmp_path, monkeypatch, capsys):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        for root in (parent, change):
+            root.mkdir()
+        (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+
+        def run_once(root, workload, seed, seconds):
+            # the parent reports 1, 2, ... and the change 10, 20, ... in declared order
+            scale = 10.0 if root == change.resolve() else 1.0
+            return {**{name: scale * (i + 1) for i, name in enumerate(BETTER)},
+                    "op_error_rate": 0.0, "operations": 3}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--workload", "eval_large", "--seeds", "4-5",
+                                 "--seconds", "1", "--out", str(tmp_path / "pairs.json")]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_one_line_per_pair(self, printed):
+        assert [line.split(":")[0] for line in printed] == ["eval_large seed 4",
+                                                           "eval_large seed 5"]
+
+    def test_every_declared_metric_in_declared_order(self, printed):
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        expected = ", ".join(f"{metric['name']} {i + 1:g} -> {10 * (i + 1):g} {metric['unit']}"
+                             for i, metric in enumerate(declared))
+        assert printed[0] == f"eval_large seed 4: {expected}"
+
+    def test_parent_first_whichever_side_ran_first(self, printed):
+        assert printed[1].split(": ", 1)[1] == printed[0].split(": ", 1)[1]

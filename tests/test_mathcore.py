@@ -202,6 +202,37 @@ class TestSigmoid:
         for z in (np.float64(-3.5), 2.0, rng.standard_normal((3, 4)) * 50, np.zeros(0)):
             assert_bitwise_equal(mathcore.sigmoid(z), oracle_sigmoid(z))
 
+    def test_scalars_give_zero_dimensional_arrays(self):
+        for z in (np.float64(-3.5), 2.0, -0.0, np.nan):
+            result = mathcore.sigmoid(z)
+            assert type(result) is np.ndarray and result.shape == ()
+
+    def test_out_receives_the_result(self):
+        rng = np.random.default_rng(13)
+        z = np.concatenate([np.array(self.SPECIAL), rng.standard_normal(301) * 40])
+        out = np.full_like(z, 7.0)
+        result = mathcore.sigmoid(z, out=out)
+        assert result is out
+        assert_bitwise_equal(out, oracle_sigmoid(z))
+
+    def test_zero_dimensional_out(self):
+        out = np.empty(())
+        assert mathcore.sigmoid(np.float64(-3.5), out=out) is out
+        assert_bitwise_equal(out, oracle_sigmoid(-3.5))
+
+    def test_out_may_be_z_itself(self):
+        rng = np.random.default_rng(14)
+        z = np.concatenate([np.array(self.SPECIAL), rng.standard_normal(301) * 40])
+        expected = oracle_sigmoid(z)
+        assert mathcore.sigmoid(z, out=z) is z
+        assert_bitwise_equal(z, expected)
+
+    def test_out_overlapping_z_gives_the_sigmoid_of_z_as_it_was(self):
+        z = np.random.default_rng(15).standard_normal(40) * 30
+        expected = oracle_sigmoid(z[1:])
+        assert_bitwise_equal(mathcore.sigmoid(z[1:], out=z[:-1]), expected)
+        assert_bitwise_equal(z[:-1], expected)
+
 
 class TestKlDivergence:
     def test_identical_distributions(self):

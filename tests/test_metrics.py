@@ -7,7 +7,6 @@ import pytest
 
 from pacf import metrics
 from pacf.errors import DimensionMismatch, InsufficientSamples, ParseError
-from pacf.mathcore import sigmoid
 
 
 def oracle_kendall_tau(xs, ys) -> float:
@@ -59,12 +58,38 @@ def oracle_proxy_a_distance(source_embeddings, target_embeddings) -> float:
     return float(np.clip(2.0 * (1.0 - eps), 0.0, 2.0))
 
 
+def oracle_sigmoid(z):
+    """The masked two-branch logistic function of ``test_mathcore.oracle_sigmoid``, kept here
+    so that the fit oracles do not move with ``mathcore.sigmoid``."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def oracle_fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The loop ``metrics._fit_logistic`` ran on the full design before it used a factor."""
     w = np.zeros(x.shape[1])
     n = len(y)
     for _ in range(400):
-        grad = x.T @ (sigmoid(x @ w) - y) / n
+        grad = x.T @ (oracle_sigmoid(x @ w) - y) / n
+        grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
+        w = w - grad
+    return w
+
+
+def factor_fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The factor loop ``metrics._fit_logistic`` ran on a rank-deficient design before its
+    steps reused buffers, each step's temporaries allocated afresh."""
+    n = len(y)
+    basis = metrics._column_basis(x)
+    a = np.asfortranarray(x @ basis)
+    w = np.zeros(x.shape[1])
+    for _ in range(400):
+        grad = basis @ (a.T @ (oracle_sigmoid(a @ (basis.T @ w)) - y)) / n
         grad[:-1] += 1e-3 * w[:-1]  # bias column is last and unregularized
         w = w - grad
     return w
@@ -305,6 +330,14 @@ class TestFitLogisticAgainstOracle:
         expected = oracle_fit_logistic(x, y)
         assert np.linalg.norm(w - expected) <= 1e-12 * np.linalg.norm(expected)
         assert np.array_equal(test @ w >= 0.0, test @ expected >= 0.0)
+
+    @pytest.mark.parametrize("ns, nt, rank, d", [(200, 200, 4, 32), (150, 173, 1, 9),
+                                                 (400, 333, 8, 128),
+                                                 (800, 800, 32, 128)])  # pacf's 32 -> 128
+    def test_bitwise_equal_to_the_factor_loop_on_rank_deficient_affine_designs(self, ns, nt,
+                                                                                rank, d):
+        x, y, _ = probe_designs(*self.affine(rank * 7 + d, ns, nt, rank, d))
+        assert metrics._fit_logistic(x, y).tobytes() == factor_fit_logistic(x, y).tobytes()
 
     def test_design_overflowed_by_standardizing_runs_the_full_loop(self):
         xs, xt = self.affine(61, 40, 40, 2, 6)

@@ -8,7 +8,8 @@ T --trace 0`` once from the root of each checkout, one run at a time. The
 side that runs first alternates from one pair to the next, starting with the
 parent. T defaults to ``run_seconds`` of the change's ``BENCHMARK.json``. The
 seeds of ``--seeds`` fill ``pairs[NAME]`` and those of ``--held-out`` fill
-``held_out_pairs[NAME]``, run after them.
+``held_out_pairs[NAME]``, run after them. After each pair one line shows
+both sides' end-to-end metrics, those ``BENCHMARK.json`` declares, in its order.
 
 ``--out`` is read first if it exists, and only the blocks of NAME change:
 the pair lists, ``pairs_summary[NAME]`` and ``env``. The file is written
@@ -85,6 +86,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def pair_line(workload: str, pair: dict, end_to_end: list[dict]) -> str:
+    """The progress line of ``pair``: each declared end-to-end metric the runs reported, as
+    ``name parent -> change unit``."""
+    return f"{workload} seed {pair['seed']}: " + ", ".join(
+        f"{metric['name']} {pair['parent'][metric['name']]:.4g} -> "
+        f"{pair['change'][metric['name']]:.4g} {metric['unit']}"
+        for metric in end_to_end if metric["name"] in pair["parent"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
@@ -123,9 +133,7 @@ def main(argv=None) -> int:
             if block == "pairs":
                 doc.setdefault("pairs_summary", {})[args.workload] = summarize(pairs, better)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"{args.workload} seed {seed}: " + ", ".join(
-                f"{side} {pair[side]['adapt_steps_per_s']:.1f} steps/s" for side in SIDES),
-                flush=True)
+            print(pair_line(args.workload, pair, declared["end_to_end"]), flush=True)
     return 0
 
 
