@@ -77,7 +77,8 @@ class ModelParams:
 
     def nonfinite_keys(self) -> list[str]:
         """The parameters holding a non-finite entry."""
-        return [key for key in PARAM_KEYS if not np.isfinite(getattr(self, key)).all()]
+        return [key for key in PARAM_KEYS
+                if not np.logical_and.reduce(np.isfinite(getattr(self, key)), axis=None)]
 
     @property
     def input_dim(self) -> int:
@@ -99,13 +100,8 @@ class ModelParams:
 
     def apply_gradients(self, grads: dict[str, np.ndarray], learning_rate: float) -> "ModelParams":
         """One gradient-descent step; parameters without a gradient are carried over."""
-        new = {}
-        for key in PARAM_KEYS:
-            value = getattr(self, key)
-            if key in grads:
-                value = value - learning_rate * grads[key]
-            new[key] = value
-        return ModelParams(**new)
+        return ModelParams(*(getattr(self, key) - learning_rate * grads[key] if key in grads
+                             else getattr(self, key) for key in PARAM_KEYS))
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key).tolist() for key in PARAM_KEYS}
@@ -247,7 +243,7 @@ def forward(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
     """Embedding and linear-classifier distribution for one vector or a batch."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
-    batch = np.atleast_2d(arr)
+    batch = arr if arr.ndim == 2 else np.atleast_2d(arr)
     if batch.shape[1] != params.input_dim:
         raise DimensionMismatch(
             f"input dim {batch.shape[1]} does not match extractor dim {params.input_dim}")
@@ -290,13 +286,13 @@ def generate_pseudo_labels(teacher: ModelParams, target_features,
     # an overflowing teacher ends in the one error below, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         _, probs = forward(teacher, np.atleast_2d(target_features))
-    confidence = probs.max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(confidence))
+    labels = probs.argmax(axis=1)  # the max by a gather: it may differ only at a zero or NaN max
+    confidence = probs[np.arange(len(probs)), labels]
+    bad = (~np.isfinite(confidence)).nonzero()[0]
     if len(bad):
         raise Diverged(f"the teacher's class probabilities for target row {bad[0] + 1} "
                        "are not finite")
-    labels = probs.argmax(axis=1)
-    idx = np.flatnonzero((confidence >= threshold) & (labels < teacher.class_count))
+    idx = ((confidence >= threshold) & (labels < teacher.class_count)).nonzero()[0]
     return PseudoLabels(indices=idx, labels=labels[idx], scores=confidence[idx])
 
 
@@ -324,10 +320,10 @@ def _backward(params: ModelParams, x: np.ndarray, emb: np.ndarray,
     grads, grad_emb = {}, grad_inputs.get("embeddings")
     if "logits" in grad_inputs:
         grad_logits = grad_inputs["logits"]
-        grads = {"classifier_w": emb.T @ grad_logits, "classifier_b": grad_logits.sum(axis=0)}
+        grads = {"classifier_w": emb.T @ grad_logits, "classifier_b": np.add.reduce(grad_logits)}
         through = grad_logits @ params.classifier_w.T
         grad_emb = through if grad_emb is None else through + grad_emb
-    return {**grads, "extractor_w": x.T @ grad_emb, "extractor_b": grad_emb.sum(axis=0)}
+    return {**grads, "extractor_w": x.T @ grad_emb, "extractor_b": np.add.reduce(grad_emb)}
 
 
 def _cross_entropy_component(params: ModelParams, emb: np.ndarray, probs: np.ndarray,
@@ -407,7 +403,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     # one student forward: the source rows, then (after warm-up) the target rows
     x = xs + config.augment_noise * src_noise
     if not warmup:
-        x = np.vstack([x, xt + config.augment_noise * tgt_noise])
+        x = np.concatenate([x, xt + config.augment_noise * tgt_noise])
     student = state.student
     emb, probs = forward(student, x)
     n_src = config.batch_size
@@ -421,8 +417,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
         components["unsup"] = _cross_entropy_component(student, emb, probs, rows["unsup"],
                                                        pseudo.labels)
     if not warmup and weights.lambda_dis > 0.0:
-        domain = np.repeat([0.0, 1.0], n_src)
-        components["dis"] = _adversarial_component(student, emb, domain)
+        components["dis"] = _adversarial_component(student, emb, np.repeat([0.0, 1.0], n_src))
     if (len(pseudo) and _prototypes_ready(state)
             and (weights.lambda_pce > 0.0 or weights.lambda_mut > 0.0)):
         geometry = losses.prototype_geometries(emb_kept, state.src_protos, state.tgt_protos,
@@ -438,8 +433,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     new_student = student.apply_gradients(grads, config.learning_rate)
     _check_finite(new_student, components, state.step + 1, warmup)
 
-    src_protos = state.src_protos
-    tgt_protos = state.tgt_protos
+    src_protos, tgt_protos = state.src_protos, state.tgt_protos
     if not warmup and src_protos is not None:
         src_protos = update_all(src_protos, emb[:n_src], ys)
         if len(pseudo) and tgt_protos is not None:

@@ -93,8 +93,9 @@ def log_probabilities(logits: np.ndarray) -> np.ndarray:
     if logits.shape[1] == 1:
         z = logits[:, 0]
         return np.stack([-mathcore.softplus(-z), -mathcore.softplus(z)], axis=1)
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    # max, not softmax_rows' gather: the sign of a +-0 max can reach a log-probability
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 def cross_entropy_rows(log_probs: np.ndarray, probs: np.ndarray, labels: np.ndarray,
@@ -105,9 +106,9 @@ def cross_entropy_rows(log_probs: np.ndarray, probs: np.ndarray, labels: np.ndar
     of the gradient are kept.
     """
     rows = np.arange(len(labels))
-    onehot = np.zeros_like(probs)
-    onehot[rows, labels] = 1.0
-    return -log_probs[rows, labels], (probs - onehot)[:, :logit_width]
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    return -log_probs[rows, labels], grad[:, :logit_width]
 
 
 def cross_entropy_batch(logits: np.ndarray, probs: np.ndarray, labels: np.ndarray
@@ -118,7 +119,7 @@ def cross_entropy_batch(logits: np.ndarray, probs: np.ndarray, labels: np.ndarra
     """
     nll, grad_logits = cross_entropy_rows(log_probabilities(logits), probs, labels,
                                           logits.shape[1])
-    return float(nll.mean()), grad_logits / len(labels)
+    return float(np.add.reduce(nll) / len(labels)), grad_logits / len(labels)
 
 
 def prototype_geometry(features: np.ndarray, matrix: np.ndarray
@@ -137,7 +138,7 @@ def cosine_grad_to_features(grad_cos: np.ndarray, cos: np.ndarray, features: np.
 
     d cos_k / dx = mu_k / |x| - cos_k * x / |x|^2  (prototypes are unit norm).
     """
-    radial = (grad_cos * cos).sum(axis=1)
+    radial = np.add.reduce(grad_cos * cos, axis=1)
     return grad_cos @ matrix / norms[:, None] - radial[:, None] * features / (norms ** 2)[:, None]
 
 
@@ -169,7 +170,7 @@ def prototype_geometries(features: np.ndarray, src: PrototypeSet, tgt: Prototype
     if (src.class_count, src.dim) != (tgt.class_count, tgt.dim):
         raise DimensionMismatch(f"source/target prototype sets disagree on (classes, dim): "
                                 f"{(src.class_count, src.dim)} vs {(tgt.class_count, tgt.dim)}")
-    matrix = np.vstack([src.matrix(), tgt.matrix()])
+    matrix = np.concatenate([src.matrix(), tgt.matrix()])
     norms, cos = prototype_geometry(features, matrix)
     scores = (cos / tau).reshape(2 * len(cos), -1)
     posteriors = class_probabilities(scores).reshape(len(features), 2, -1)
@@ -187,7 +188,8 @@ def prototype_cross_entropy_batch(features: np.ndarray, labels: np.ndarray,
     nll, grad_scores = cross_entropy_rows(
         log_probabilities(geometry.scores), geometry.posteriors.reshape(2 * n, -1),
         np.repeat(labels, 2), geometry.posteriors.shape[2])
-    return float(nll.reshape(n, 2).mean(axis=0).sum()), geometry.chain(features, grad_scores)
+    mean_nll = np.add.reduce(nll.reshape(n, 2), axis=0) / n
+    return float(np.add.reduce(mean_nll)), geometry.chain(features, grad_scores)
 
 
 def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
@@ -195,7 +197,7 @@ def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
     """Row-wise (value, d/da, d/db) of one regularizer pair. Gradients use clamped logs."""
     if kind == "l2":
         diff = a - b
-        return (diff * diff).sum(axis=-1), 2.0 * diff, -2.0 * diff
+        return np.add.reduce(diff * diff, axis=-1), 2.0 * diff, -2.0 * diff
     if kind == "kl":
         # the value is flat in b where clamped_log floors it, so d/db is 0 there
         return (mathcore.kl_rows(a, b), clamped_log(a) - clamped_log(b) + 1.0,
@@ -204,7 +206,8 @@ def pair_divergence(kind: str, a: np.ndarray, b: np.ndarray
         # mathcore.js_rows, bit for bit, with each log taken once and shared with d/da, d/db
         log_m = clamped_log(0.5 * (a + b))
         from_a, from_b = clamped_log(a) - log_m, clamped_log(b) - log_m
-        return (0.5 * (a * from_a).sum(axis=-1) + 0.5 * (b * from_b).sum(axis=-1),
+        return (0.5 * np.add.reduce(a * from_a, axis=-1)
+                + 0.5 * np.add.reduce(b * from_b, axis=-1),
                 0.5 * from_a, 0.5 * from_b)
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
@@ -214,7 +217,7 @@ def regularizer_rows(kind: str, p_lin: np.ndarray, posteriors: np.ndarray
     """Per-row D(p_lin, p_src) + D(p_lin, p_tgt) and its gradients w.r.t. p_lin and
     ``posteriors``, which stacks p_src and p_tgt on axis 1 as (n, 2, K)."""
     values, g_lin, g_post = pair_divergence(kind, p_lin[:, None], posteriors)
-    return values.sum(axis=1), g_lin.sum(axis=1), g_post
+    return np.add.reduce(values, axis=1), np.add.reduce(g_lin, axis=1), g_post
 
 
 def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray, geometry: Geometry,
@@ -229,7 +232,7 @@ def mutual_regularization_batch(features: np.ndarray, probs: np.ndarray, geometr
     values, g_lin, g_post = regularizer_rows(kind, probs, geometry.posteriors)
     grad_logits = mathcore.softmax_vjp_rows(probs, g_lin)[:, :logit_width] / n
     grad_scores = mathcore.softmax_vjp_rows(geometry.posteriors, g_post).reshape(2 * n, -1)
-    return float(values.mean()), grad_logits, geometry.chain(features, grad_scores)
+    return float(np.add.reduce(values) / n), grad_logits, geometry.chain(features, grad_scores)
 
 
 def discriminator_bce_batch(features: np.ndarray, domain: np.ndarray, weight: np.ndarray,
@@ -240,9 +243,9 @@ def discriminator_bce_batch(features: np.ndarray, domain: np.ndarray, weight: np
     feature gradient with the gradient-reversal sign flip applied.
     """
     z = features @ weight + float(bias)
-    value = float((mathcore.softplus(z) - domain * z).mean())
+    value = float(np.add.reduce(mathcore.softplus(z) - domain * z) / len(domain))
     dz = (mathcore.sigmoid(z) - domain) / len(domain)
-    return value, features.T @ dz, np.asarray(dz.sum()), np.multiply.outer(-dz, weight)
+    return value, features.T @ dz, np.asarray(np.add.reduce(dz)), np.multiply.outer(-dz, weight)
 
 
 # --- per-instance operations: batch-of-one views of the kernels -------------------

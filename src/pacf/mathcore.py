@@ -65,7 +65,7 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 def nonzero(norms: np.ndarray, message: str) -> np.ndarray:
     """``norms``; :class:`ZeroVector` with ``message`` if one is at most NORM_EPS."""
-    if np.any(norms <= NORM_EPS):
+    if np.logical_or.reduce(norms <= NORM_EPS, axis=None):
         raise ZeroVector(message)
     return norms
 
@@ -93,8 +93,10 @@ def _check_temperature(tau: float) -> float:
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, computed with max-subtraction for stability."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # the row max by an argmax gather; exp erases where it differs: a zero max's sign, a NaN's
+    top = z.argmax(axis=-1) + np.arange(0, z.size, z.shape[-1]).reshape(z.shape[:-1])
+    e = np.exp(z - z.reshape(-1)[top][..., None])
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def temperature_softmax(scores, tau: float) -> np.ndarray:
@@ -106,7 +108,7 @@ def temperature_softmax(scores, tau: float) -> np.ndarray:
 
 def softmax_vjp_rows(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     """Row-wise softmax VJP along the last axis: p_i * (g_i - sum_j p_j g_j)."""
-    inner = (probs * grad_probs).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(probs * grad_probs, axis=-1, keepdims=True)
     return probs * (grad_probs - inner)
 
 
@@ -147,7 +149,7 @@ def softplus(z) -> np.ndarray:
 
 def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """KL(q || p) along the last axis, logs clamped as in :func:`kl_divergence`."""
-    return (q * (clamped_log(q) - clamped_log(p))).sum(axis=-1)
+    return np.add.reduce(q * (clamped_log(q) - clamped_log(p)), axis=-1)
 
 
 def js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ class PrototypeSet:
         array that no caller holds.
         """
         norms = row_norms(rows)
-        if len(rows) and not np.abs(norms - 1.0).max() <= UNIT_NORM_TOL:
+        if len(rows) and not np.maximum.reduce(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:
             off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
             raise ValueError(f"prototype for class {int(classes[off[0]])} has norm "
                              f"{float(norms[off[0]])!r}, expected 1")
@@ -156,30 +156,31 @@ def class_means(features: np.ndarray, labels: np.ndarray, class_count: int
     Labels outside 0..class_count-1 raise ValueError. The means are not
     normalized.
     """
-    if not (0 <= labels.min() and labels.max() < class_count):
+    if not (0 <= np.minimum.reduce(labels) and np.maximum.reduce(labels) < class_count):
         outside = (labels < 0) | (labels >= class_count)
         raise ValueError(f"labels {sorted(set(labels[outside].tolist()))} "
                          f"outside 0..{class_count - 1}")
     counts = np.bincount(labels, minlength=class_count)
-    present = np.flatnonzero(counts)
+    present = counts.nonzero()[0]
     onehot = (labels == present[:, None]).astype(np.float64)
     return present, (onehot @ features) / counts[present, None]
 
 
 def blend_rows(prev: np.ndarray, means: np.ndarray, mean_norms: np.ndarray,
-               initialized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               initialized: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row blend weight and renormalized blend of ``prev`` toward ``means``.
 
     alpha = (cos(prev, mean) + 1) / 2, so an aligned mean replaces the
     prototype (alpha = 1) and an opposed mean leaves it unchanged (alpha = 0).
     The mean is deliberately not normalized before blending; only the result
-    is. A row that is not ``initialized`` has no previous prototype: its
-    ``prev`` row must be zero, and it takes alpha = 1, the normalized mean.
+    is. A row that is not ``initialized`` (None: every row is) has no previous prototype:
+    its ``prev`` row must be zero, and it takes alpha = 1, the normalized mean.
     ``mean_norms`` are the row norms of ``means``, none of them zero.
     """
-    prev_norms = np.where(initialized, row_norms(prev), 1.0)
-    cos = np.einsum("ij,ij->i", prev, means) / (prev_norms * mean_norms)
-    alpha = np.where(initialized, (cos + 1.0) / 2.0, 1.0)
+    full = initialized is None
+    prev_norms = row_norms(prev) if full else np.where(initialized, row_norms(prev), 1.0)
+    alpha = (np.einsum("ij,ij->i", prev, means) / (prev_norms * mean_norms) + 1.0) / 2.0
+    alpha = alpha if full else np.where(initialized, alpha, 1.0)
     blended = (1.0 - alpha)[:, None] * prev + alpha[:, None] * means
     return alpha, blended / row_norms(blended)[:, None]
 
@@ -203,7 +204,7 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
         return pset
     present, means = class_means(features, labels, pset.class_count)
     mean_norms = row_norms(means)
-    if not (NORM_EPS < mean_norms.min() and mean_norms.max() < np.inf):
+    if not NORM_EPS < np.minimum.reduce(mean_norms) <= np.maximum.reduce(mean_norms) < np.inf:
         bad = ~np.isfinite(mean_norms)
         if np.any(bad):
             raise ValueError(f"mini-batch mean for class {present[np.argmax(bad)]} "
@@ -211,7 +212,7 @@ def update_all(pset: PrototypeSet, features, labels) -> PrototypeSet:
         raise ZeroVector(f"mini-batch mean for class {present[np.argmax(mean_norms <= NORM_EPS)]}"
                          " is zero")
     if pset._matrix is not None:  # a full set: every class has a previous row
-        prev, initialized = pset._matrix[present], np.ones(len(present), dtype=bool)
+        prev, initialized = pset._matrix[present], None
     else:
         stored, zero, classes = pset._prototypes, np.zeros(pset.dim), present.tolist()
         prev = np.array([stored.get(k, zero) for k in classes])
@@ -251,7 +252,7 @@ def _blend_one(prev, minibatch_mean) -> tuple[float, np.ndarray]:
     """:func:`blend_rows` on one (prev, mean) pair, validated as vectors."""
     pair = np.array(as_vectors(prev, minibatch_mean))
     norms = nonzero_norms(pair, "the blend weight is undefined for a zero prototype or mean")
-    alpha, rows = blend_rows(pair[:1], pair[1:], norms[1:], np.ones(1, dtype=bool))
+    alpha, rows = blend_rows(pair[:1], pair[1:], norms[1:])
     return float(alpha[0]), rows[0]
 
 

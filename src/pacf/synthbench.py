@@ -44,7 +44,7 @@ def check_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
     if labels.shape != (len(features),):
         raise DimensionMismatch("labels must match the feature count")
-    if not np.isfinite(features).all():
+    if not np.logical_and.reduce(np.isfinite(features), axis=None):
         raise ValueError("features contain non-finite entries")
     return features, labels
 

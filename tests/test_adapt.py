@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pacf import adapt, experiment, losses, mathcore
+from pacf import adapt, cli, experiment, losses, mathcore
 from pacf.adapt import (ModelParams, TrainerConfig, ema_update,
                         forward, generate_pseudo_labels, init_state, predict,
                         run_experiment, train_run, train_step)
@@ -878,3 +880,57 @@ def test_negative_source_label_rejected_before_warm_up(monkeypatch):
     with pytest.raises(ValueError, match="^source row 6 has label -1; "):
         run_experiment(LabeledBatch(source.features, labels, source.scores), target,
                        tiny_config())
+
+
+class TestTraceContract:
+    """Per adaptation step of the default and the baseline config, each name that
+    ``perfbench/tracing.py`` patches on ``adapt`` is called as often as its per-step
+    counts assume. A term that is off, or has no pseudo label to read, is not called."""
+
+    TRACED = ("forward", "generate_pseudo_labels", "_cross_entropy_component",
+              "_adversarial_component", "_pce_component", "_mut_component", "total_loss",
+              "update_all", "ema_update")
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("default", {}), ("baseline", {}), ("default", {"pseudo_threshold": 1.5})],
+        ids=["default", "baseline", "default-no-pseudo-labels"])
+    def test_calls_per_step(self, name, overrides, monkeypatch):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+                         .read_text())
+        config = replace(cli.trainer_from_config(doc), steps=30, **overrides)
+        data = cli.generate(cli.spec_from_config(doc))
+        source, target = data.source, data.target_features
+        state = init_state(config, source.dim, int(source.labels.max()) + 1)
+        state, _ = adapt.warmup_run(state, source, target, config)
+        state = adapt.initialize_from_warmup(state, source, target, config)
+        assert state.src_protos.fully_initialized and state.tgt_protos.fully_initialized
+
+        calls = Counter()
+
+        def count(owner, attr):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for attr in self.TRACED:
+            count(adapt, attr)
+        count(adapt.ModelParams, "apply_gradients")
+        weights = config.effective_weights()
+        steps_with_labels = 0
+        for _ in range(config.steps):
+            calls.clear()
+            state, record = train_step(state, source, target, config)
+            kept = int(record.pseudo_count > 0)
+            steps_with_labels += kept
+            expected = {"forward": 2, "generate_pseudo_labels": 1,
+                        "_cross_entropy_component": 1 + kept, "_adversarial_component": 1,
+                        "_pce_component": kept * (weights.lambda_pce > 0.0),
+                        "_mut_component": kept * (weights.lambda_mut > 0.0),
+                        "total_loss": 1, "apply_gradients": 1, "update_all": 1 + kept,
+                        "ema_update": 1}
+            assert {attr: calls[attr] for attr in expected} == expected
+        assert steps_with_labels == (0 if overrides else config.steps)

@@ -152,3 +152,49 @@ class TestProgressLine:
 
     def test_parent_first_whichever_side_ran_first(self, printed):
         assert printed[1].split(": ", 1)[1] == printed[0].split(": ", 1)[1]
+
+
+class TestWorkloadList:
+    """``--workload A,B`` runs A's pairs, then B's, into one ``--out``; no perfbench run
+    starts."""
+
+    @pytest.fixture()
+    def result(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        runs = []
+
+        def run_once(root, workload, seed, seconds):
+            runs.append((workload, seed))
+            return {"adapt_steps_per_s": 100.0 + seed, "op_error_rate": 0.0}, {"threads": 1}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "pairs.json"
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                                 "--workload", "adapt_default,eval_large", "--seeds", "1-2",
+                                 "--held-out", "9", "--seconds", "1", "--out", str(out)]) == 0
+        return runs, json.loads(out.read_text()), capsys.readouterr().out.splitlines()
+
+    def test_each_workload_in_turn_pairs_then_held_out(self, result):
+        runs, _, printed = result
+        expected = [(workload, seed) for workload in ("adapt_default", "eval_large")
+                    for seed in (1, 2, 9)]
+        assert runs[::2] == runs[1::2] == expected
+        assert [line.split(":")[0] for line in printed] == [f"{w} seed {s}" for w, s in expected]
+
+    def test_one_file_holds_every_workload(self, result):
+        _, doc, _ = result
+        for workload in ("adapt_default", "eval_large"):
+            assert [pair["seed"] for pair in doc["pairs"][workload]] == [1, 2]
+            assert [pair["seed"] for pair in doc["held_out_pairs"][workload]] == [9]
+            assert doc["pairs_summary"][workload]["adapt_steps_per_s"]["change_better_in"] == \
+                "0 of 2 pairs"
+
+    def test_a_rerun_adds_only_the_missing_workload(self, tmp_path, result, monkeypatch):
+        runs, _, _ = result
+        runs.clear()
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                                 "--workload", "eval_large,adapt_baseline", "--seeds", "1-2",
+                                 "--seconds", "1", "--out", str(tmp_path / "pairs.json")]) == 0
+        assert runs == [("adapt_baseline", 1)] * 2 + [("adapt_baseline", 2)] * 2
+        doc = json.loads((tmp_path / "pairs.json").read_text())
+        assert sorted(doc["pairs"]) == ["adapt_baseline", "adapt_default", "eval_large"]

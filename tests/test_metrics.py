@@ -309,6 +309,49 @@ class TestProxyADistanceAgainstOracle:
         assert traced_peak(metrics.proxy_a_distance, xs, xt) < 1.5 * (xs.nbytes + xt.nbytes)
 
 
+class TestColumnSpread:
+    """``_column_spread`` gives ``std(axis=0)``'s bits on the strided train-half views the
+    probe hands it: widths around its 16-column blocks, one row to thousands."""
+
+    @staticmethod
+    def train_view(seed, n, d, scale=1.0):
+        rng = np.random.default_rng(seed)
+        design = np.ones((n + 1, d + 1))  # as in the probe: a bias column, a spare row
+        design[:n, :-1] = (rng.normal(size=(n, d)) + rng.normal(size=d) * 3.0) * scale
+        return design[:n, :-1]
+
+    @pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 31, 33, 128, 129])
+    @pytest.mark.parametrize("n", [1, 2, 7, 3200])
+    def test_bitwise_equal_to_std(self, n, d):
+        x = self.train_view(n * 1000 + d, n, d)
+        assert metrics._column_spread(x, x.mean(axis=0)).tobytes() == x.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 17, 128])
+    def test_bitwise_equal_where_squares_and_sums_overflow(self, d):
+        x = self.train_view(d, 801, d, scale=1e160)
+        x[:, 0] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = x.std(axis=0)
+            assert metrics._column_spread(x, x.mean(axis=0)).tobytes() == expected.tobytes()
+        assert not np.isfinite(expected).all()
+
+
+class TestProxyADistanceAtScale:
+    affine = staticmethod(TestProxyADistanceAgainstOracle.affine)
+
+    @pytest.mark.parametrize("ns, nt, rank, d", [(101, 98, 3, 17), (57, 60, 5, 33),
+                                                 (1601, 1600, 32, 129)])
+    def test_bitwise_equal_to_the_oracle_on_odd_shapes(self, ns, nt, rank, d):
+        xs, xt = self.affine(ns + d, ns, nt, rank, d)
+        assert bits(metrics.proxy_a_distance(xs, xt)) == bits(oracle_proxy_a_distance(xs, xt))
+
+    def test_peak_memory_under_one_input_at_eval_size(self, traced_peak):
+        # 6,400 rows per domain of pacf's 32 -> 128 embeddings; taking the train half's
+        # spread by a copy of it peaked at 1.03x the input bytes
+        xs, xt = self.affine(74, 6400, 6400, 32, 128)
+        assert traced_peak(metrics.proxy_a_distance, xs, xt) < 0.85 * (xs.nbytes + xt.nbytes)
+
+
 class TestFitLogisticAgainstOracle:
     domains = staticmethod(TestProxyADistanceAgainstOracle.domains)
     affine = staticmethod(TestProxyADistanceAgainstOracle.affine)

@@ -1,6 +1,6 @@
 """Run perfbench on two checkouts in alternating pairs and summarize the pairs.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME[,NAME...] \
         --seeds 16-25 [--held-out 26,27] [--seconds T] --out BENCH_N.json
 
 Each pair runs ``python3 perfbench/run.py --workload NAME --seed S --seconds
@@ -8,11 +8,13 @@ T --trace 0`` once from the root of each checkout, one run at a time. The
 side that runs first alternates from one pair to the next, starting with the
 parent. T defaults to ``run_seconds`` of the change's ``BENCHMARK.json``. The
 seeds of ``--seeds`` fill ``pairs[NAME]`` and those of ``--held-out`` fill
-``held_out_pairs[NAME]``, run after them. After each pair one line shows
-both sides' end-to-end metrics, those ``BENCHMARK.json`` declares, in its order.
+``held_out_pairs[NAME]``, run after them. A comma-separated list of workloads
+runs each one's pairs in turn, in the order given. After each pair one line
+shows both sides' end-to-end metrics, those ``BENCHMARK.json`` declares, in
+its order.
 
-``--out`` is read first if it exists, and only the blocks of NAME change:
-the pair lists, ``pairs_summary[NAME]`` and ``env``. The file is written
+``--out`` is read first if it exists, and only the blocks of the workloads run
+change: the pair lists, ``pairs_summary[NAME]`` and ``env``. The file is written
 again after every pair, and a seed already listed is not run again, so a cut
 run continues where it stopped. A metric's summary holds each side's
 quartiles and median over the pairs, in how many pairs the change was better
@@ -99,7 +101,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="root of the change checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=lambda text: list(filter(None, text.split(","))),
+                        required=True, help="one workload, or several separated by commas")
     parser.add_argument("--seeds", type=seed_list, required=True)
     parser.add_argument("--held-out", type=seed_list, default=[])
     parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
@@ -115,25 +118,26 @@ def main(argv=None) -> int:
     doc.setdefault("command", f"python3 perfbench/run.py --workload W --seed S "
                               f"--seconds {seconds:g} --trace 0")
 
-    for block, seeds in (("pairs", args.seeds), ("held_out_pairs", args.held_out)):
-        pairs = doc.setdefault(block, {}).setdefault(args.workload, [])
-        done = {pair["seed"] for pair in pairs}
-        for seed in seeds:
-            if seed in done:
-                continue
-            order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            threads = {}
-            for side in order:
-                pair[side], env = run_once(roots[side], args.workload, seed, seconds)
-                threads[side] = env.get("threads")
-                doc.setdefault("env", env)
-            pair["threads"] = threads
-            pairs.append(pair)
-            if block == "pairs":
-                doc.setdefault("pairs_summary", {})[args.workload] = summarize(pairs, better)
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            print(pair_line(args.workload, pair, declared["end_to_end"]), flush=True)
+    for workload in args.workload:
+        for block, seeds in (("pairs", args.seeds), ("held_out_pairs", args.held_out)):
+            pairs = doc.setdefault(block, {}).setdefault(workload, [])
+            done = {pair["seed"] for pair in pairs}
+            for seed in seeds:
+                if seed in done:
+                    continue
+                order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                threads = {}
+                for side in order:
+                    pair[side], env = run_once(roots[side], workload, seed, seconds)
+                    threads[side] = env.get("threads")
+                    doc.setdefault("env", env)
+                pair["threads"] = threads
+                pairs.append(pair)
+                if block == "pairs":
+                    doc.setdefault("pairs_summary", {})[workload] = summarize(pairs, better)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+                print(pair_line(workload, pair, declared["end_to_end"]), flush=True)
     return 0
 
 
