@@ -29,8 +29,8 @@ from .experiment import EvalResult, evaluate_state
 from .losses import LossWeights
 from .svg import Panel, scatter_svg
 from .synthbench import (MIRROR_SUFFIX, DomainShiftSpec, LabeledBatch, format_column, generate,
-                         load_dump, load_relabeled, parse_finite, parse_int64, read_csv,
-                         save_dump, save_mirror, save_relabeled, write_csv, write_text)
+                         load_dump, parse_finite, parse_int64, read_csv, save_dump, save_mirror,
+                         save_relabeled, write_csv, write_text)
 
 SOURCE_FILE = "source.csv"
 TARGET_FILE = "target.csv"
@@ -147,10 +147,12 @@ def cmd_gen(args, out: OutDir) -> str:
     n_t = len(pair.target_features)
     target = LabeledBatch(pair.target_features, np.full(n_t, -1, dtype=np.int64),
                           np.full(n_t, -1.0))
-    for name, batch in ((SOURCE_FILE, pair.source), (TARGET_FILE, target)):
-        save_dump(batch, out(name))
+    hidden = LabeledBatch(pair.target_features, pair.target_hidden_labels, target.scores)
+    save_dump(pair.source, out(SOURCE_FILE))
+    save_dump(target, out(TARGET_FILE))
+    save_relabeled(out(HIDDEN_FILE), out(TARGET_FILE), hidden.labels)  # save_dump(hidden)'s bytes
+    for name, batch in ((SOURCE_FILE, pair.source), (TARGET_FILE, target), (HIDDEN_FILE, hidden)):
         save_mirror(batch, out(name), out(name + MIRROR_SUFFIX))
-    save_relabeled(out(HIDDEN_FILE), out(TARGET_FILE), pair.target_hidden_labels)
     return config_hash(effective)
 
 
@@ -167,7 +169,7 @@ def _load_data_dir(data_dir: str) -> tuple[LabeledBatch, np.ndarray, np.ndarray 
     hidden_path = os.path.join(data_dir, HIDDEN_FILE)
     hidden = None
     if os.path.exists(hidden_path):
-        hidden = load_relabeled(hidden_path, target_path, target).labels
+        hidden = load_dump(hidden_path).labels
         if len(hidden) != len(target.labels):
             raise ParseError(f"{hidden_path} has {len(hidden)} data rows, but {target_path} "
                              f"has {len(target.labels)}")

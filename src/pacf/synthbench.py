@@ -1,7 +1,8 @@
 """Synthetic domain-shift benchmark, feature dumps, and the CSV codec
-(:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through;
-:func:`save_relabeled` copies the text of a dump it wrote, and :func:`save_mirror` writes a
-binary copy of one that :func:`load_dump` reads while the dump's bytes are unchanged.
+(:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through.
+:func:`save_relabeled` copies the text of a dump it wrote and :func:`save_mirror` writes a
+binary copy of a dump; :func:`load_dump` reads every dump, from that copy while the dump's
+bytes are unchanged.
 
 The generator models the two failure modes a detector meets after a domain
 change: every class-conditional distribution on the target is mean-shifted
@@ -282,8 +283,7 @@ def save_dump(batch: LabeledBatch, path) -> None:
 
 
 def save_relabeled(path, base_path, labels) -> None:
-    """``save_dump`` of the dump at ``base_path`` with its labels replaced by ``labels``; the
-    write-side twin of :func:`load_relabeled`.
+    """``save_dump`` of the dump at ``base_path`` with its labels replaced by ``labels``.
 
     ``base_path`` is streamed line by line: its header line is written unchanged, and each
     data line with its first cell replaced by the label, formatted by :func:`format_column`
@@ -457,41 +457,3 @@ def _read_mirror_array(fh, dtype: np.dtype, ndim: int, size: int) -> np.ndarray:
         raise ValueError("not an array stream that save_mirror writes")
     fh.seek(start)
     return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-def load_relabeled(path, base_path, base: LabeledBatch) -> LabeledBatch:
-    """``load_dump(path)``, for a dump that repeats the feature text of ``base``, the batch
-    :func:`load_dump` read from ``base_path``.
-
-    Both files are streamed line by line. Where ``path`` has ``base_path``'s header line
-    and each data line has its base line's text after the second comma, only the label and
-    score cells are parsed, and the batch holds ``base.features`` itself: identical text
-    parses to identical values, which the read of ``base`` has checked. Any other file (a
-    changed or reformatted feature cell, a blank line, another row count, a label or score
-    that fails to parse or is non-finite, a byte that is not UTF-8, an OSError) is read by
-    :func:`load_dump`, so either way the result, or the error, is :func:`load_dump`'s.
-    """
-    batch = _relabel(path, base_path, base)
-    return load_dump(path) if batch is None else batch
-
-
-def _relabel(path, base_path, base: LabeledBatch) -> LabeledBatch | None:
-    """The batch :func:`load_relabeled` describes, or None where ``path`` is not a relabeled
-    copy of ``base_path``."""
-    labels, scores = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh, \
-                open(base_path, "r", encoding="utf-8") as base_fh:
-            if fh.readline() != base_fh.readline():
-                return None
-            # a missing line is "", which, like a blank line, has too few cells to unpack
-            for line, base_line in zip_longest(fh, base_fh, fillvalue=""):
-                label, score, features = line.split(",", 2)
-                _, _, base_features = base_line.split(",", 2)
-                if features.removesuffix("\n") != base_features.removesuffix("\n"):
-                    return None
-                labels.append(parse_int64(label))
-                scores.append(parse_finite(score))
-    except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
-        return None
-    return LabeledBatch(base.features, labels, scores)

@@ -15,6 +15,7 @@ from pacf.errors import ConfigError, IoError, MissingArtifact, ParseError
 from pacf.synthbench import DomainShiftSpec, read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+DUMPS = (cli.SOURCE_FILE, cli.TARGET_FILE, cli.HIDDEN_FILE)  # the order train and eval read
 
 
 SMALL_CONFIG = {
@@ -55,7 +56,7 @@ class TestGen:
         out.mkdir()
         assert run(["gen", "--config", config_path, "--out", str(out)]) == 0
         for name in ("source.csv", "source.csv.mirror", "target.csv", "target.csv.mirror",
-                     "target_hidden.csv", "manifest.json"):
+                     "target_hidden.csv", "target_hidden.csv.mirror", "manifest.json"):
             assert (out / name).exists()
         source_lines = (out / "source.csv").read_text().splitlines()
         assert len(source_lines) == 1 + 4 * 50
@@ -515,29 +516,30 @@ class TestEval:
 
 
 class TestDumpParses:
-    """``train`` and ``eval`` parse no dump in full in a data directory ``gen`` wrote, whose
-    ``source.csv`` and ``target.csv`` are read from their mirrors. Without the mirrors, as
-    for external dumps, they parse two: the rows of ``target_hidden.csv`` that repeat
-    ``target.csv``'s feature text are not parsed again."""
+    """``train`` and ``eval`` parse no dump in full in a data directory ``gen`` wrote: all
+    three dumps are read from their mirrors. Without the mirrors, as for external dumps,
+    they parse all three."""
 
     @pytest.fixture()
-    def full_parses(self, monkeypatch):
-        """The dumps parsed in full so far, by numpy's reader or by ``read_csv``."""
-        parses = []
+    def reads(self, monkeypatch):
+        """The dumps read so far: ``reads["parsed"]`` in full, by numpy's reader or by
+        ``read_csv``, and ``reads["mirrored"]`` from their mirrors."""
+        reads = {"parsed": [], "mirrored": []}
 
-        def counted(name):
+        def counted(name, kind):
             original = getattr(synthbench, name)
 
-            def parse(path, *args):
+            def read(path, *args):
                 result = original(path, *args)
                 if result is not None:
-                    parses.append(os.path.basename(path))
+                    reads[kind].append(os.path.basename(path))
                 return result
-            monkeypatch.setattr(synthbench, name, parse)
+            monkeypatch.setattr(synthbench, name, read)
 
-        counted("_load_well_formed_dump")
-        counted("read_csv")
-        return parses
+        counted("_load_well_formed_dump", "parsed")
+        counted("read_csv", "parsed")
+        counted("_load_mirror", "mirrored")
+        return reads
 
     @staticmethod
     def without_mirrors(data, tmp_path):
@@ -548,27 +550,26 @@ class TestDumpParses:
             mirror.unlink()
         return copy
 
-    def test_train_parses_two_dumps(self, trained_run, tmp_path, config_path, full_parses):
+    def test_train_parses_three_dumps(self, trained_run, tmp_path, config_path, reads):
         data, _ = trained_run
         data = self.without_mirrors(data, tmp_path)
         out = tmp_path / "again"
         out.mkdir()
         assert run(["train", "--config", config_path, "--data", str(data),
                     "--out", str(out)]) == 0
-        assert full_parses == ["source.csv", "target.csv"]
+        assert reads == {"parsed": list(DUMPS), "mirrored": []}
 
-    def test_eval_parses_two_dumps(self, trained_run, tmp_path, full_parses):
+    def test_eval_parses_three_dumps(self, trained_run, tmp_path, reads):
         data, run_dir = trained_run
         data = self.without_mirrors(data, tmp_path)
         out = tmp_path / "eval"
         out.mkdir()
         assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(data), "--out", str(out)]) == 0
-        assert full_parses == ["source.csv", "target.csv"]
+        assert reads == {"parsed": list(DUMPS), "mirrored": []}
         assert (out / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
 
-    def test_gen_made_directory_parses_none(self, trained_run, tmp_path, config_path,
-                                            full_parses):
+    def test_gen_made_directory_parses_none(self, trained_run, tmp_path, config_path, reads):
         data, run_dir = trained_run
         again, evaluated = tmp_path / "again", tmp_path / "eval"
         again.mkdir()
@@ -577,14 +578,14 @@ class TestDumpParses:
                     "--out", str(again)]) == 0
         assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(data), "--out", str(evaluated)]) == 0
-        assert full_parses == []
+        assert reads == {"parsed": [], "mirrored": list(DUMPS) * 2}  # train's, then eval's
         assert read_bytes_map(again) == read_bytes_map(run_dir)
         assert (evaluated / "metrics.json").read_bytes() == (run_dir / "metrics.json").read_bytes()
 
 
 class TestDumpMirrors:
-    """``gen`` writes a mirror beside ``source.csv`` and ``target.csv``; reading one gives the
-    batch the CSV parse gives, bit for bit."""
+    """``gen`` writes a mirror beside each of its three dumps; reading one gives the batch
+    the CSV parse gives, bit for bit."""
 
     @pytest.mark.parametrize("overrides", [
         {"class_count": 1},
@@ -603,7 +604,7 @@ class TestDumpMirrors:
         out = tmp_path / "data"
         out.mkdir()
         assert run(["gen", "--config", str(config), "--out", str(out)]) == 0
-        for name in (cli.SOURCE_FILE, cli.TARGET_FILE):
+        for name in DUMPS:
             mirrored = synthbench._load_mirror(out / name)
             parsed = synthbench._load_well_formed_dump(out / name)
             assert mirrored is not None and parsed is not None
@@ -628,6 +629,24 @@ class TestDumpMirrors:
         assert capsys.readouterr().err == (f"error: IoError: cannot read {path}: [Errno 2] "
                                            f"No such file or directory: '{path}'\n")
         assert os.listdir(out) == []
+
+    def test_hidden_mirror_alone_supplies_no_labels(self, trained_run, tmp_path):
+        data, run_dir = trained_run
+        artifacts = []
+        hidden_mirror = cli.HIDDEN_FILE + synthbench.MIRROR_SUFFIX
+        for name, removed in (("mirror_left", [cli.HIDDEN_FILE]),
+                              ("neither", [cli.HIDDEN_FILE, hidden_mirror])):
+            copy, out = tmp_path / name, tmp_path / f"{name}_eval"
+            shutil.copytree(data, copy)
+            for removed_name in removed:
+                (copy / removed_name).unlink()
+            out.mkdir()
+            assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                        "--data", str(copy), "--out", str(out)]) == 0
+            artifacts.append(read_bytes_map(out))
+        assert artifacts[0] == artifacts[1]
+        # the run itself read the hidden labels, so its metrics differ
+        assert artifacts[0]["metrics.json"] != (run_dir / "metrics.json").read_bytes()
 
 
 class TestGenFormatsEachFloatOnce:

@@ -10,8 +10,7 @@ import pytest
 from pacf.errors import DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseError
 from pacf import synthbench
 from pacf.prototypes import PrototypeSet, update_all
-from pacf.synthbench import (DomainShiftSpec, LabeledBatch, generate, load_dump,
-                             load_relabeled, save_dump)
+from pacf.synthbench import DomainShiftSpec, LabeledBatch, generate, load_dump, save_dump
 
 
 def small_spec(**overrides):
@@ -409,8 +408,8 @@ class TestLoadDumpMatchesOracle:
             assert_same_load(load_outcome(load_dump, path), load_outcome(oracle_load_dump, path))
 
 
-# target.csv and target_hidden.csv as `pacf gen` writes them: the same features, and the
-# hidden file's labels in place of -1
+# target_hidden.csv as `pacf gen` writes it: target.csv's features, with the hidden labels in
+# place of -1
 RELABEL_FEATURES = [[0.5, -1.25], [2.0, 3.0], [0.001, 7.0]]
 RELABEL_HIDDEN = b"label,score,f0,f1\n2,-1.0,0.5,-1.25\n0,-1.0,2.0,3.0\n1,-1.0,0.001,7.0\n"
 
@@ -434,26 +433,26 @@ def narrower(data):
     return b"\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\n")[:-1]) + b"\n"
 
 
-# name -> (edit of the hidden file's bytes, whether the feature text still repeats target.csv's
-# so that only labels and scores are parsed)
+# name -> (edit of the hidden file's bytes, whether the edited file is still read from the
+# mirror written for the unedited one)
 RELABEL_MUTATIONS = {
     "unchanged": (lambda data: data, True),
-    "label 1_0": (set_cell(1, 0, b"1_0"), True),
-    "label space 3": (set_cell(1, 0, b" 3"), True),
-    "label +3": (set_cell(1, 0, b"+3"), True),
+    "label 1_0": (set_cell(1, 0, b"1_0"), False),
+    "label space 3": (set_cell(1, 0, b" 3"), False),
+    "label +3": (set_cell(1, 0, b"+3"), False),
     "label 3.0": (set_cell(1, 0, b"3.0"), False),
     "empty label": (set_cell(2, 0, b""), False),
     "label of 20 nines": (set_cell(3, 0, b"9" * 20), False),
     "score nan": (set_cell(1, 1, b"nan"), False),
     "score inf": (set_cell(2, 1, b"inf"), False),
     "empty score": (set_cell(1, 1, b""), False),
-    "score space -1.0": (set_cell(1, 1, b" -1.0"), True),
+    "score space -1.0": (set_cell(1, 1, b" -1.0"), False),
     "feature 0.5 reformatted as 0.50": (set_cell(1, 2, b"0.50"), False),
     "feature changed in value": (set_cell(2, 3, b"3.5"), False),
     "feature nan": (set_cell(3, 3, b"nan"), False),
-    "crlf line ends": (replace(b"\n", b"\r\n"), True),
-    "lone cr line ends": (replace(b"\n", b"\r"), True),
-    "no final newline": (lambda data: data.removesuffix(b"\n"), True),
+    "crlf line ends": (replace(b"\n", b"\r\n"), False),
+    "lone cr line ends": (replace(b"\n", b"\r"), False),
+    "no final newline": (lambda data: data.removesuffix(b"\n"), False),
     "inserted blank line": (replace(b"\n0,", b"\n\n0,"), False),
     "dropped row": (lambda data: data.rsplit(b"\n", 2)[0] + b"\n", False),
     "added row": (lambda data: data + b"1,-1.0,2.0,3.0\n", False),
@@ -465,48 +464,47 @@ RELABEL_MUTATIONS = {
 }
 
 
-class TestLoadRelabeledMatchesLoadDump:
-    """``load_relabeled`` of a mutated ``target_hidden.csv`` equals ``load_dump`` of it
-    bitwise, or fails with the same exception type and message."""
+class TestHiddenDumpMatchesOracle:
+    """A mutated ``target_hidden.csv``, beside the mirror written for the unmutated file as
+    ``pacf gen`` writes it, loads through ``load_dump`` as the cell-by-cell loader loads it:
+    bitwise, or with the same exception type and message."""
 
     @staticmethod
-    def base(tmp_path, data=None):
-        """target.csv, written by ``save_dump`` or given as ``data``, and its batch."""
-        path = tmp_path / "target.csv"
-        if data is None:
-            save_dump(LabeledBatch(RELABEL_FEATURES, [-1] * 3, [-1.0] * 3), path)
-        else:
-            path.write_bytes(data)
-        return path, load_dump(path)
+    def hidden(tmp_path):
+        """target_hidden.csv and its mirror, as ``pacf gen`` writes them."""
+        path = tmp_path / "target_hidden.csv"
+        save_mirrored(LabeledBatch(RELABEL_FEATURES, [2, 0, 1], [-1.0] * 3), path)
+        return path
 
     def test_hidden_file_is_what_gen_writes(self, tmp_path):
-        path = tmp_path / "target_hidden.csv"
-        save_dump(LabeledBatch(RELABEL_FEATURES, [2, 0, 1], [-1.0] * 3), path)
-        assert path.read_bytes() == RELABEL_HIDDEN
+        assert self.hidden(tmp_path).read_bytes() == RELABEL_HIDDEN
 
-    @pytest.mark.parametrize("edit, reuses", RELABEL_MUTATIONS.values(),
+    @pytest.mark.parametrize("edit, mirrored", RELABEL_MUTATIONS.values(),
                              ids=RELABEL_MUTATIONS.keys())
-    def test_mutation_table(self, tmp_path, edit, reuses):
-        base_path, base = self.base(tmp_path)
-        path = tmp_path / "target_hidden.csv"
+    def test_mutation_table(self, tmp_path, edit, mirrored):
+        path = self.hidden(tmp_path)
         path.write_bytes(edit(RELABEL_HIDDEN))
-        got = load_outcome(lambda p: load_relabeled(p, base_path, base), path)
-        assert_same_load(got, load_outcome(load_dump, path))
-        assert (getattr(got, "features", None) is base.features) == reuses
+        assert_same_load(load_outcome(load_dump, path), load_outcome(oracle_load_dump, path))
+        assert (synthbench._load_mirror(path) is not None) == mirrored
 
-    def test_blank_line_in_base_is_read_in_full(self, tmp_path):
-        base_path, base = self.base(tmp_path, replace(b"\n0,", b"\n\n0,")(RELABEL_HIDDEN))
+    def test_target_mirror_does_not_serve_hidden_file(self, tmp_path):
+        # target.csv holds the hidden file's features; its mirror must not lend its -1 labels
+        target = tmp_path / "target.csv"
+        save_mirrored(LabeledBatch(RELABEL_FEATURES, [-1] * 3, [-1.0] * 3), target)
         path = tmp_path / "target_hidden.csv"
         path.write_bytes(RELABEL_HIDDEN)
-        got = load_relabeled(path, base_path, base)
-        assert_same_load(got, load_dump(path))
-        assert got.features is not base.features
+        mirror_path(path).write_bytes(mirror_path(target).read_bytes())
+        assert synthbench._load_mirror(path) is None
+        got = load_dump(path)
+        assert got.labels.tolist() == [2, 0, 1]
+        assert_same_load(got, oracle_load_dump(path))
 
-    def test_missing_file_raises_load_dumps_error(self, tmp_path):
-        base_path, base = self.base(tmp_path)
-        path = tmp_path / "absent.csv"
-        got = load_outcome(lambda p: load_relabeled(p, base_path, base), path)
-        assert_same_load(got, load_outcome(load_dump, path))
+    def test_missing_file_fails_as_the_oracle_does(self, tmp_path):
+        path = self.hidden(tmp_path)
+        path.unlink()
+        got = load_outcome(load_dump, path)
+        assert isinstance(got, IoError)
+        assert_same_load(got, load_outcome(oracle_load_dump, path))
 
 
 class TestSaveRelabeled:
