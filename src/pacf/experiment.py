@@ -23,6 +23,7 @@ from . import adapt, mathcore, metrics
 from .adapt import AdaptationState, TrainerConfig, generate_pseudo_labels
 from .synthbench import LabeledBatch
 
+
 def baseline_config(config: TrainerConfig) -> TrainerConfig:
     """Self-training + adversarial only: prototype terms switched off."""
     return replace(config, enable_pce=False, regularizer="none")

@@ -1,8 +1,8 @@
 """Synthetic domain-shift benchmark, feature dumps, and the CSV codec
 (:func:`write_csv`, :func:`read_csv`) that every CSV pacf writes or reads goes through.
 :func:`save_relabeled` copies the text of a dump it wrote and :func:`save_mirror` writes a
-binary copy of a dump; :func:`load_dump` reads every dump, from that copy while the dump's
-bytes are unchanged.
+binary copy of a dump; :func:`load_dump` reads every dump from that copy while the dump's
+bytes are unchanged, and otherwise through :func:`read_csv`, the one CSV parser.
 
 The generator models the two failure modes a detector meets after a domain
 change: every class-conditional distribution on the target is mean-shifted
@@ -31,8 +31,6 @@ DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
 CSV_BLOCK_ROWS = 1024  # rows that write_csv, and save_relabeled's labels, format at a time
 _INT64 = np.iinfo(np.int64)
-# every byte of a dump's data lines as save_dump writes them, and \r of other line ends
-_DUMP_BYTES = b"0123456789+-.e,\n\r"
 MIRROR_SUFFIX = ".mirror"  # the mirror of source.csv is source.csv.mirror
 _MIRROR_MAGIC = b"pacf dump mirror 1\n"
 
@@ -332,51 +330,14 @@ def load_dump(path) -> LabeledBatch:
     """Read a CSV feature dump; the exact inverse of :func:`save_dump`.
 
     A dump with a mirror that :func:`save_mirror` wrote for its current bytes is read
-    from the mirror. Otherwise a well-formed dump is read by numpy's C reader; any
-    other file goes through :func:`read_csv`, which decides what is accepted and names
-    the first bad line.
+    from the mirror; any other file goes through :func:`read_csv`, which decides what is
+    accepted and names the first bad line.
     """
     batch = _load_mirror(path)
-    if batch is None:
-        batch = _load_well_formed_dump(path)
     if batch is not None:
         return batch
     labels, scores, features = zip(*read_csv(path, _dump_header_ok, _parse_dump_row))
     return LabeledBatch(np.asarray(features), np.asarray(labels), np.asarray(scores))
-
-
-def _load_well_formed_dump(path) -> LabeledBatch | None:
-    """The dump at ``path`` read by one ``np.loadtxt`` call, or None where that read
-    might differ from :func:`read_csv`'s.
-
-    It takes only what :func:`save_dump` writes, with ``\\n``, ``\\r\\n`` or ``\\r``
-    line ends: a good header, then data lines made of ``_DUMP_BYTES`` alone.
-    There numpy and ``int``/``float`` read every cell alike, since no cell
-    holds whitespace, ``_``, a quote or a non-ASCII digit, on which they
-    disagree. It declines a file it cannot open, any other byte, a cell or
-    line numpy rejects or warns about, no data rows and a non-finite value.
-    """
-    try:
-        with open(path, "rb") as fh:
-            header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
-            if not _dump_header_ok(header.decode("ascii").split(",")):
-                return None
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                if chunk.translate(None, _DUMP_BYTES):
-                    return None
-        dtype = np.dtype([("label", np.int64), ("score", np.float64),
-                          ("features", np.float64, (header.count(b",") - 1,))])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
-                               ndmin=1, encoding="utf-8")
-    except (OSError, ValueError, Warning):  # a UnicodeDecodeError is a ValueError
-        return None
-    features, scores = table["features"], table["score"]
-    if len(table) == 0 or not (np.isfinite(features).all() and np.isfinite(scores).all()):
-        return None
-    return LabeledBatch(np.ascontiguousarray(features), np.ascontiguousarray(table["label"]),
-                        np.ascontiguousarray(scores))
 
 
 def save_mirror(batch: LabeledBatch, csv_path, path) -> None:

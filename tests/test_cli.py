@@ -13,6 +13,7 @@ from pacf import cli, experiment, synthbench
 from pacf.adapt import TrainerConfig
 from pacf.errors import ConfigError, IoError, MissingArtifact, ParseError
 from pacf.synthbench import DomainShiftSpec, read_csv
+from test_synthbench import oracle_load_dump
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 DUMPS = (cli.SOURCE_FILE, cli.TARGET_FILE, cli.HIDDEN_FILE)  # the order train and eval read
@@ -522,8 +523,8 @@ class TestDumpParses:
 
     @pytest.fixture()
     def reads(self, monkeypatch):
-        """The dumps read so far: ``reads["parsed"]`` in full, by numpy's reader or by
-        ``read_csv``, and ``reads["mirrored"]`` from their mirrors."""
+        """The dumps read so far: ``reads["parsed"]`` in full, by ``read_csv``, the one
+        parser, and ``reads["mirrored"]`` from their mirrors."""
         reads = {"parsed": [], "mirrored": []}
 
         def counted(name, kind):
@@ -536,7 +537,6 @@ class TestDumpParses:
                 return result
             monkeypatch.setattr(synthbench, name, read)
 
-        counted("_load_well_formed_dump", "parsed")
         counted("read_csv", "parsed")
         counted("_load_mirror", "mirrored")
         return reads
@@ -585,7 +585,7 @@ class TestDumpParses:
 
 class TestDumpMirrors:
     """``gen`` writes a mirror beside each of its three dumps; reading one gives the batch
-    the CSV parse gives, bit for bit."""
+    ``read_csv``'s parse of the CSV gives, bit for bit."""
 
     @pytest.mark.parametrize("overrides", [
         {"class_count": 1},
@@ -606,8 +606,8 @@ class TestDumpMirrors:
         assert run(["gen", "--config", str(config), "--out", str(out)]) == 0
         for name in DUMPS:
             mirrored = synthbench._load_mirror(out / name)
-            parsed = synthbench._load_well_formed_dump(out / name)
-            assert mirrored is not None and parsed is not None
+            parsed = oracle_load_dump(out / name)
+            assert mirrored is not None
             for field in ("features", "labels", "scores"):
                 a, b = getattr(mirrored, field), getattr(parsed, field)
                 assert a.dtype == b.dtype and a.shape == b.shape

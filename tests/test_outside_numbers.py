@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from pacf import cli
+from pacf import cli, synthbench
 from pacf.errors import numeric_array
 
 BIG = 2 ** 1100  # a JSON integer past float64
@@ -221,6 +221,59 @@ def infinite_x_on_line_3(text):
     return "\n".join(lines) + "\n"
 
 
+def external_cell(name, column, cell):
+    """``eval`` of the trained checkpoint on a copy of the data directory without its mirrors,
+    as external dumps come, whose dump ``name`` holds ``cell`` in cell ``column`` of data row
+    1; the copy is read through ``read_csv``, the one CSV parser."""
+    def argv(data, run_dir, tmp_path):
+        copy = tmp_path / "external"
+        copy.mkdir()
+        for path in data.iterdir():
+            if path.suffix == synthbench.MIRROR_SUFFIX:
+                continue
+            text = path.read_text(encoding="utf-8")
+            if path.name == name:
+                lines = text.split("\n")
+                cells = lines[1].split(",")
+                cells[column] = cell
+                lines[1] = ",".join(cells)
+                text = "\n".join(lines)
+            (copy / path.name).write_text(text, encoding="utf-8")
+        return ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--data", str(copy)]
+    return argv
+
+
+NINES_20, NINES_400 = "9" * 20, "9" * 400
+CLEAN = (None, None)
+NOT_A_FLOAT = ("ParseError", "target.csv line 2: could not convert string to float")
+NOT_FINITE = ("ParseError", "target.csv line 2: non-finite value")
+NOT_AN_INT = ("ParseError", "source.csv line 2: invalid literal for int()")
+
+
+def past_int64(cell):
+    return "ParseError", f"source.csv line 2: '{cell}' does not fit in int64"
+
+
+# (name, cell, outcome as target.csv's first feature cell, outcome as source.csv's label cell)
+HOSTILE_CELLS = [
+    ("empty", "", NOT_A_FLOAT, NOT_AN_INT),
+    ("nan", "nan", NOT_FINITE, NOT_AN_INT),
+    ("inf", "inf", NOT_FINITE, NOT_AN_INT),
+    ("-inf", "-inf", NOT_FINITE, NOT_AN_INT),
+    ("1e309", "1e309", NOT_FINITE, NOT_AN_INT),
+    ("0x10", "0x10", NOT_A_FLOAT, NOT_AN_INT),
+    ("' 1'", " 1", CLEAN, CLEAN),
+    ("1_000", "1_000", CLEAN, CLEAN),
+    ("Arabic-Indic 3", "\u0663", CLEAN, CLEAN),
+    ("+", "+", NOT_A_FLOAT, NOT_AN_INT),
+    ("-0", "-0", CLEAN, CLEAN),
+    ("400 nines", NINES_400, NOT_FINITE, past_int64(NINES_400)),
+    ("-2", "-2", CLEAN, ("ParseError", "source.csv: data row 1 has label -2")),
+    ("3.5", "3.5", CLEAN, NOT_AN_INT),
+    ("1e18", "1e18", CLEAN, NOT_AN_INT),
+    ("20 nines", NINES_20, CLEAN, past_int64(NINES_20)),
+]
+
 ROWS = {
     "gen source_std 2^1100":
         (config_with("benchmark", "source_std", BIG), "InvalidSpec", "source_std"),
@@ -333,6 +386,12 @@ ROWS = {
          "the student's source embedding of data row 1 is not finite"),
     "train source dump with a zero feature row without warm-up":
         (dumps_with({"source.csv": first_row_zero}, warmup_steps=0), None, None),
+    **{f"eval external target.csv feature cell {name}":
+       (external_cell("target.csv", 2, cell), *outcome)
+       for name, cell, outcome, _ in HOSTILE_CELLS},
+    **{f"eval external source.csv label cell {name}":
+       (external_cell("source.csv", 0, cell), *outcome)
+       for name, cell, _, outcome in HOSTILE_CELLS},
 }
 
 

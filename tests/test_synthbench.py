@@ -236,7 +236,6 @@ class TestDumpRoundTrip:
     def test_non_utf8_byte_names_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"label,score,f0\n0,0.5,1.\xe9\n")
-        assert synthbench._load_well_formed_dump(path) is None
         with pytest.raises(ParseError, match="bad.csv.*UTF-8"):
             load_dump(path)
 
@@ -259,17 +258,6 @@ class TestDumpRoundTrip:
         path.write_bytes(b"label,score,f0\r\n0,0.5,1.0\r1,0.5,2.0\r\n2,0.5,oops\r\n")
         with pytest.raises(ParseError, match="line 4:"):
             load_dump(path)
-
-    def test_well_formed_dump_skips_the_cell_parser(self, tmp_path, monkeypatch):
-        batch = LabeledBatch([[1.0, -0.0], [5e-324, 2.5]], [3, -1], [0.5, -1.0])
-        path = tmp_path / "dump.csv"
-        save_dump(batch, path)
-
-        def no_read_csv(*args):
-            raise AssertionError("a well-formed dump went through read_csv")
-
-        monkeypatch.setattr(synthbench, "read_csv", no_read_csv)
-        assert_same_load(load_dump(path), batch)
 
 
 def oracle_load_dump(path) -> LabeledBatch:
@@ -300,7 +288,8 @@ def assert_same_load(got, expected):
 
 DUMP_HEADER = b"label,score,f0,f1\n"
 
-# (name, file bytes): every shape of input the two readers might treat differently
+# (name, file bytes): every shape of input a CSV reader might take or reject wrongly; the one
+# parser must read each as the oracle does
 EDGE_DUMPS = [
     ("well formed", DUMP_HEADER + b"0,0.5,1.0,2.0\n1,-1.0,3.0,4.0\n"),
     ("crlf", b"label,score,f0,f1\r\n0,0.5,1.0,2.0\r\n1,0.5,3.0,4.0\r\n"),
@@ -371,9 +360,6 @@ class TestLoadDumpMatchesOracle:
         path.write_bytes(data)
         expected = load_outcome(oracle_load_dump, path)
         assert_same_load(load_outcome(load_dump, path), expected)
-        fast = synthbench._load_well_formed_dump(path)  # declines rather than raising
-        if fast is not None:
-            assert_same_load(fast, expected)
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -790,7 +776,7 @@ class TestMirror:
             raise AssertionError("a dump without a mirror was hashed")
 
         monkeypatch.setattr(synthbench, "_mirror_digest", no_digest)
-        assert_same_load(load_dump(path), synthbench._load_well_formed_dump(path))
+        assert_same_load(load_dump(path), oracle_load_dump(path))
 
     def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         path = tmp_path / "dump.csv"
@@ -923,8 +909,7 @@ class TestFiniteCells:
             synthbench.parse_finite(cell)
 
     def test_slow_path_names_the_first_bad_line(self, tmp_path):
-        # "nan" keeps the dump off the C reader; the parse stops at line 2, before line 3's
-        # malformed cell
+        # the one parser stops at line 2's "nan", before line 3's malformed cell
         path = tmp_path / "dump.csv"
         path.write_text("label,score,f0,f1\n0,0.5,nan,1.0\n1,0.5,x,1.0\n")
         with pytest.raises(ParseError, match=r"dump\.csv line 2: non-finite value$"):
