@@ -234,6 +234,12 @@ def cmd_eval(args, out: OutDir) -> str:
     state, config, cfg_hash = adapt.state_from_checkpoint(_read_json(args.checkpoint),
                                                           args.checkpoint)
     source, target, hidden = _load_data_dir(args.data)
+    classes = state.student.class_count
+    bad = np.flatnonzero(source.labels >= classes)
+    if len(bad):
+        raise ParseError(f"{os.path.join(args.data, SOURCE_FILE)}: data row {bad[0] + 1} has "
+                         f"label {source.labels[bad[0]]}, but the checkpoint's class count "
+                         f"is {classes}")
     _write_eval_artifacts(out, evaluate_state(state, config, source, target, hidden), cfg_hash)
     return cfg_hash
 

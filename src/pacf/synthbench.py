@@ -29,7 +29,7 @@ from .errors import (DimensionMismatch, EmptyBatch, InvalidSpec, IoError, ParseE
 
 DUMP_HEADER_PREFIX = ("label", "score")
 MISSING = -1  # label/score placeholder for unlabeled rows
-CSV_BLOCK_ROWS = 1024  # rows that write_csv, and save_relabeled's labels, format at a time
+CSV_BLOCK_ROWS = 128  # rows that write_csv, and save_relabeled's labels, format at a time
 _INT64 = np.iinfo(np.int64)
 MIRROR_SUFFIX = ".mirror"  # the mirror of source.csv is source.csv.mirror
 _MIRROR_MAGIC = b"pacf dump mirror 1\n"

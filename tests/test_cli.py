@@ -398,6 +398,35 @@ class TestEval:
                     "--data", str(data), "--out", str(out)]) == 1
         assert_one_unknown_source_label_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("class_count, label", [(4, 1000), (1, 1)],
+                             ids=["4 classes", "one class"])
+    def test_source_label_past_checkpoint_classes_fails_with_one_line(self, tmp_path, capsys,
+                                                                      class_count, label):
+        # the label is in class_count's range, but names no class of the checkpoint
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["benchmark"]["class_count"] = class_count
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        data, run_dir, external, out = (tmp_path / name
+                                        for name in ("data", "run", "external", "out"))
+        for directory in (data, run_dir, external, out):
+            directory.mkdir()
+        assert run(["gen", "--config", str(config), "--out", str(data)]) == 0
+        assert run(["train", "--config", str(config), "--data", str(data),
+                    "--out", str(run_dir)]) == 0
+        for name in DUMPS:  # without mirrors, as external dumps come
+            lines = (data / name).read_text().splitlines()
+            if name == cli.SOURCE_FILE:
+                for row in (1, 2):
+                    lines[row] = ",".join([str(label), *lines[row].split(",")[1:]])
+            (external / name).write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(external), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ParseError: {external / cli.SOURCE_FILE}: data row 1 has label {label}, "
+            f"but the checkpoint's class count is {class_count}\n")
+        assert os.listdir(out) == []
+
     def test_short_hidden_labels_fail_with_one_line(self, trained_run, tmp_path, capsys):
         data, run_dir = trained_run
         hidden = data / "target_hidden.csv"

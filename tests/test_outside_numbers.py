@@ -244,34 +244,59 @@ def external_cell(name, column, cell):
 
 
 NINES_20, NINES_400 = "9" * 20, "9" * 400
-CLEAN = (None, None)
-NOT_A_FLOAT = ("ParseError", "target.csv line 2: could not convert string to float")
-NOT_FINITE = ("ParseError", "target.csv line 2: non-finite value")
-NOT_AN_INT = ("ParseError", "source.csv line 2: invalid literal for int()")
+
+
+def clean(name):
+    return None, None
+
+
+def not_a_float(name):
+    return "ParseError", f"{name} line 2: could not convert string to float"
+
+
+def not_finite(name):
+    return "ParseError", f"{name} line 2: non-finite value"
+
+
+def not_an_int(name):
+    return "ParseError", f"{name} line 2: invalid literal for int()"
 
 
 def past_int64(cell):
-    return "ParseError", f"source.csv line 2: '{cell}' does not fit in int64"
+    return lambda name: ("ParseError", f"{name} line 2: '{cell}' does not fit in int64")
 
 
-# (name, cell, outcome as target.csv's first feature cell, outcome as source.csv's label cell)
+def no_class(label):
+    """A label that names no class: below -1, or past the checkpoint's classes in
+    ``source.csv`` and past the source's in ``target_hidden.csv``."""
+    return lambda name: ("ParseError", f"{name}: data row 1 has label {label}")
+
+
+# (name, cell, outcome as a float cell, outcome as a label cell); an outcome is a function
+# of the dump's file name
 HOSTILE_CELLS = [
-    ("empty", "", NOT_A_FLOAT, NOT_AN_INT),
-    ("nan", "nan", NOT_FINITE, NOT_AN_INT),
-    ("inf", "inf", NOT_FINITE, NOT_AN_INT),
-    ("-inf", "-inf", NOT_FINITE, NOT_AN_INT),
-    ("1e309", "1e309", NOT_FINITE, NOT_AN_INT),
-    ("0x10", "0x10", NOT_A_FLOAT, NOT_AN_INT),
-    ("' 1'", " 1", CLEAN, CLEAN),
-    ("1_000", "1_000", CLEAN, CLEAN),
-    ("Arabic-Indic 3", "\u0663", CLEAN, CLEAN),
-    ("+", "+", NOT_A_FLOAT, NOT_AN_INT),
-    ("-0", "-0", CLEAN, CLEAN),
-    ("400 nines", NINES_400, NOT_FINITE, past_int64(NINES_400)),
-    ("-2", "-2", CLEAN, ("ParseError", "source.csv: data row 1 has label -2")),
-    ("3.5", "3.5", CLEAN, NOT_AN_INT),
-    ("1e18", "1e18", CLEAN, NOT_AN_INT),
-    ("20 nines", NINES_20, CLEAN, past_int64(NINES_20)),
+    ("empty", "", not_a_float, not_an_int),
+    ("nan", "nan", not_finite, not_an_int),
+    ("inf", "inf", not_finite, not_an_int),
+    ("-inf", "-inf", not_finite, not_an_int),
+    ("1e309", "1e309", not_finite, not_an_int),
+    ("0x10", "0x10", not_a_float, not_an_int),
+    ("' 1'", " 1", clean, clean),
+    ("1_000", "1_000", clean, no_class(1000)),
+    ("Arabic-Indic 3", "\u0663", clean, clean),
+    ("+", "+", not_a_float, not_an_int),
+    ("-0", "-0", clean, clean),
+    ("400 nines", NINES_400, not_finite, past_int64(NINES_400)),
+    ("-2", "-2", clean, no_class(-2)),
+    ("3.5", "3.5", clean, not_an_int),
+    ("1e18", "1e18", clean, not_an_int),
+    ("20 nines", NINES_20, clean, past_int64(NINES_20)),
+]
+# every dump cell that holds a hostile cell in data row 1: (file, column, what it holds)
+DUMP_CELLS = [
+    ("target.csv", 2, "feature"), ("source.csv", 0, "label"),
+    ("source.csv", 1, "score"), ("source.csv", 2, "feature"), ("target.csv", 1, "score"),
+    ("target_hidden.csv", 0, "label"), ("target_hidden.csv", 1, "score"),
 ]
 
 ROWS = {
@@ -386,12 +411,9 @@ ROWS = {
          "the student's source embedding of data row 1 is not finite"),
     "train source dump with a zero feature row without warm-up":
         (dumps_with({"source.csv": first_row_zero}, warmup_steps=0), None, None),
-    **{f"eval external target.csv feature cell {name}":
-       (external_cell("target.csv", 2, cell), *outcome)
-       for name, cell, outcome, _ in HOSTILE_CELLS},
-    **{f"eval external source.csv label cell {name}":
-       (external_cell("source.csv", 0, cell), *outcome)
-       for name, cell, _, outcome in HOSTILE_CELLS},
+    **{f"eval external {dump} {kind} cell {name}":
+       (external_cell(dump, column, cell), *(as_label if kind == "label" else as_float)(dump))
+       for dump, column, kind in DUMP_CELLS for name, cell, as_float, as_label in HOSTILE_CELLS},
 }
 
 

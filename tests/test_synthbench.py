@@ -896,8 +896,15 @@ class TestWriteCsvMatchesOracle:
     def test_save_dump_peak_memory(self, tmp_path, traced_peak):
         batch = generate(small_spec(dim=32, samples_per_class=2200)).source  # 6,600 rows
         input_bytes = batch.features.nbytes + batch.labels.nbytes + batch.scores.nbytes
-        # the text of the whole file peaked at 14x the batch, blocks of rows at about 3.5x
+        # the text of the whole file peaked at 14x the batch, 1,024-row blocks at about 3.5x
         assert traced_peak(save_dump, batch, tmp_path / "dump.csv") < 6 * input_bytes
+
+    def test_save_dump_peak_memory_under_feature_bytes(self, tmp_path, traced_peak):
+        batch = generate(small_spec(class_count=8, dim=32, samples_per_class=800)).source
+        assert batch.features.shape == (6400, 32)  # 1.56 MiB of features
+        # the cells of one block of rows are held at once: 128-row blocks peak at about
+        # 0.46x the features, 1,024-row blocks at about 3.6x
+        assert traced_peak(save_dump, batch, tmp_path / "dump.csv") < batch.features.nbytes
 
 
 class TestFiniteCells:
