@@ -156,12 +156,9 @@ class TrainerConfig:
     def __post_init__(self):
         check_fields(self)
 
+    @cached_property  # a config is frozen, so its weights in effect are built once
     def effective_weights(self) -> LossWeights:
         """Loss weights with the ablation switches applied."""
-        return self._effective_weights
-
-    @cached_property  # a config is frozen, so its weights in effect are built once
-    def _effective_weights(self) -> LossWeights:
         w = self.weights
         return LossWeights(
             lambda_unsup=w.lambda_unsup,
@@ -411,7 +408,7 @@ def train_step(state: AdaptationState, source: LabeledBatch, target_features,
     emb_kept = emb[kept]
     rows = {"sup": slice(0, n_src), "unsup": kept, "pce": kept, "mut": kept}
 
-    weights = config.effective_weights()
+    weights = config.effective_weights
     components = {"sup": _cross_entropy_component(student, emb, probs, rows["sup"], ys)}
     if len(pseudo) and weights.lambda_unsup > 0.0:
         components["unsup"] = _cross_entropy_component(student, emb, probs, rows["unsup"],

@@ -358,22 +358,6 @@ class MetricsReport:
     tp_ratio: dict[int, float] = field(default_factory=dict)
     pseudo_count: int = 0
 
-    @property
-    def source_variance_avg(self) -> float:
-        return class_average(self.source_variance)
-
-    @property
-    def target_variance_avg(self) -> float:
-        return class_average(self.target_variance)
-
-    @property
-    def mean_shift_avg(self) -> float:
-        return class_average(self.mean_shift)
-
-    @property
-    def tp_ratio_avg(self) -> float:
-        return class_average(self.tp_ratio)
-
     def summary(self) -> dict[str, float]:
         """The ``summary_comparison.csv`` rows: each scalar under its metrics.json key,
         each table's class average as ``<table>_avg``, then ``pseudo_count``."""

@@ -87,9 +87,6 @@ class PrototypeSet:
         rows.flags.writeable = False
         self._prototypes.update(zip(classes.tolist(), rows))
 
-    def is_initialized(self, class_id: int) -> bool:
-        return class_id in self._prototypes
-
     @property
     def fully_initialized(self) -> bool:
         return len(self._prototypes) == self.class_count

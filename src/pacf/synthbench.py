@@ -102,9 +102,9 @@ class DomainShiftSpec:
 class DatasetPair:
     """A labeled source batch plus unlabeled target features.
 
-    ``target_hidden_labels`` exist for evaluation only. Training code takes
-    the pieces returned by :meth:`training_view` and never this object, so
-    the hidden labels stay out of the training interface.
+    ``target_hidden_labels`` exist for evaluation only. Training code
+    (``adapt.run_experiment``) takes ``source`` and ``target_features`` and
+    never this object, so the hidden labels stay out of the training interface.
     """
 
     source: LabeledBatch
@@ -114,9 +114,6 @@ class DatasetPair:
     def __post_init__(self):
         if len(self.target_features) != len(self.target_hidden_labels):
             raise DimensionMismatch("hidden labels must align with target features")
-
-    def training_view(self) -> tuple[LabeledBatch, np.ndarray]:
-        return self.source, self.target_features
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is checked for below
@@ -285,9 +282,9 @@ def save_relabeled(path, base_path, labels) -> None:
 
     ``base_path`` is streamed line by line: its header line is written unchanged, and each
     data line with its first cell replaced by the label, formatted by :func:`format_column`
-    as :func:`save_dump` formats it, and the text after the first comma copied. A data line
-    without a comma raises :class:`ParseError`, and a row count other than ``len(labels)``
-    :class:`DimensionMismatch`; either leaves ``path`` as it was.
+    as :func:`save_dump` formats it, and the text after the first comma copied. A base that
+    is not UTF-8 or a data line without a comma raises :class:`ParseError`, and a row count
+    other than ``len(labels)`` :class:`DimensionMismatch`; each leaves ``path`` as it was.
     """
     labels = np.asarray(labels, dtype=np.int64)
 
@@ -311,7 +308,10 @@ def save_relabeled(path, base_path, labels) -> None:
     except OSError as exc:
         raise IoError(f"cannot read {base_path}: {exc}") from exc
     with base:
-        write_text(path, relabeled(base))
+        try:
+            write_text(path, relabeled(base))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{base_path}: not UTF-8 text: {exc}") from exc
 
 
 def _dump_header(dim: int) -> list[str]:

@@ -67,7 +67,7 @@ class RunMatrix:
         key = (s, variant)
         if key not in self.evaluations:
             dataset = self.dataset(s)
-            source, target = dataset.training_view()
+            source, target = dataset.source, dataset.target_features
             start = time.perf_counter()
             if variant == "warm":
                 config = self.config(s, "full")
@@ -272,12 +272,15 @@ class TestCriterion04Compaction:
     def test_criterion_4_compaction(self, matrix):
         full = matrix.report(0, "full")
         base = matrix.report(0, "base")
-        reduction = 1.0 - full.target_variance_avg / base.target_variance_avg
+        reduction = 1.0 - (metrics.class_average(full.target_variance)
+                           / metrics.class_average(base.target_variance))
         elapsed = matrix.durations[(0, "full")] + matrix.durations[(0, "base")]
         assert elapsed < 120.0
         assert reduction >= 0.15
-        print(f"\ncriterion 4 PASS: target variance {base.target_variance_avg:.4f} -> "
-              f"{full.target_variance_avg:.4f}, reduction {reduction:.1%} >= 15% "
+        print(f"\ncriterion 4 PASS: target variance "
+              f"{metrics.class_average(base.target_variance):.4f} -> "
+              f"{metrics.class_average(full.target_variance):.4f}, "
+              f"reduction {reduction:.1%} >= 15% "
               f"({elapsed:.0f} s for both runs)")
 
 
@@ -288,10 +291,11 @@ class TestCriterion05MeanShiftReduction:
     def test_criterion_5_mean_shift_reduction(self, matrix):
         full = matrix.report(0, "full")
         base = matrix.report(0, "base")
-        reduction = 1.0 - full.mean_shift_avg / base.mean_shift_avg
+        reduction = 1.0 - (metrics.class_average(full.mean_shift)
+                           / metrics.class_average(base.mean_shift))
         assert reduction >= 0.25
-        print(f"\ncriterion 5 PASS: mean shift {base.mean_shift_avg:.4f} -> "
-              f"{full.mean_shift_avg:.4f}, reduction {reduction:.1%} >= 25%")
+        print(f"\ncriterion 5 PASS: mean shift {metrics.class_average(base.mean_shift):.4f} -> "
+              f"{metrics.class_average(full.mean_shift):.4f}, reduction {reduction:.1%} >= 25%")
 
 
 class TestCriterion06RankConsistency:
@@ -348,8 +352,9 @@ class TestCriterion08PseudoLabelQuality:
         for s in SEEDS:
             full = matrix.report(s, "full")
             base = matrix.report(s, "base")
-            assert full.tp_ratio_avg >= base.tp_ratio_avg, s
-            rows.append(f"s{s}: {base.tp_ratio_avg:.4f}->{full.tp_ratio_avg:.4f}")
+            assert metrics.class_average(full.tp_ratio) >= metrics.class_average(base.tp_ratio), s
+            rows.append(f"s{s}: {metrics.class_average(base.tp_ratio):.4f}->"
+                        f"{metrics.class_average(full.tp_ratio):.4f}")
         print(f"\ncriterion 8 PASS: TP ratio {'; '.join(rows)}")
 
 
@@ -453,7 +458,7 @@ class TestCriterion10DegenerateEquivalence:
     def test_criterion_10_degenerate_equivalence(self):
         dataset = synthbench.generate(synthbench.DomainShiftSpec(
             seed=100, samples_per_class=50))
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         config = adapt.TrainerConfig(
             seed=0, warmup_steps=20, steps=25, feature_dim=16,
             pseudo_threshold=1.01,

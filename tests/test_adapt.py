@@ -603,7 +603,7 @@ class TestTrainStepGradientAgainstFiniteDifferences:
                                   for k in range(class_count)})
                     for domain in ("source", "target"))
         draws = np.random.Generator(np.random.PCG64(10)).bit_generator.state
-        lambda_dis = config.effective_weights().lambda_dis
+        lambda_dis = config.effective_weights.lambda_dis
 
         def step(params):
             replay = np.random.Generator(np.random.PCG64())
@@ -648,7 +648,7 @@ def reference_step(state, source, target, config):
     student = state.student
     emb, probs = forward(student, x)
     kept = n + pseudo.indices
-    weights = config.effective_weights()
+    weights = config.effective_weights
 
     def full(rows, grad):
         out = np.zeros((len(emb), grad.shape[1]))
@@ -783,14 +783,14 @@ class TestEffectiveWeights:
 
     def test_follows_replace(self):
         config = TrainerConfig(weights=LossWeights(lambda_dis=0.25, lambda_pce=0.5))
-        assert config.effective_weights() is config.effective_weights()
-        assert config.effective_weights() == config.weights
+        assert config.effective_weights is config.effective_weights
+        assert config.effective_weights == config.weights
         baseline = experiment.baseline_config(config)
-        assert baseline.effective_weights() == LossWeights(lambda_dis=0.25, lambda_pce=0.0,
+        assert baseline.effective_weights == LossWeights(lambda_dis=0.25, lambda_pce=0.0,
                                                            lambda_mut=0.0)
         no_dis = replace(baseline, enable_adversarial=False, regularizer="kl")
-        assert no_dis.effective_weights() == LossWeights(lambda_dis=0.0, lambda_pce=0.0)
-        assert config.effective_weights() == config.weights  # the original is untouched
+        assert no_dis.effective_weights == LossWeights(lambda_dis=0.0, lambda_pce=0.0)
+        assert config.effective_weights == config.weights  # the original is untouched
 
     def test_equality_hash_and_documents_unchanged(self):
         used, fresh = TrainerConfig(seed=3), TrainerConfig(seed=3)
@@ -798,7 +798,7 @@ class TestEffectiveWeights:
         state = run_experiment(source, target, tiny_config()).state
         before = (hash(used), repr(used), used.to_json_dict(),
                   json.dumps(adapt.checkpoint_to_json_dict(state, used, "h"), sort_keys=True))
-        used.effective_weights()
+        used.effective_weights
         after = (hash(used), repr(used), used.to_json_dict(),
                  json.dumps(adapt.checkpoint_to_json_dict(state, used, "h"), sort_keys=True))
         assert after == before
@@ -919,7 +919,7 @@ class TestTraceContract:
         for attr in self.TRACED:
             count(adapt, attr)
         count(adapt.ModelParams, "apply_gradients")
-        weights = config.effective_weights()
+        weights = config.effective_weights
         steps_with_labels = 0
         for _ in range(config.steps):
             calls.clear()

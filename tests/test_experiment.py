@@ -38,7 +38,7 @@ class TestDefaults:
     def test_baseline_config_disables_prototype_terms(self):
         config = adapt.TrainerConfig()
         baseline = experiment.baseline_config(config)
-        weights = baseline.effective_weights()
+        weights = baseline.effective_weights
         assert weights.lambda_pce == 0.0
         assert weights.lambda_mut == 0.0
         assert weights.lambda_unsup == 1.0
@@ -48,7 +48,7 @@ class TestDefaults:
 class TestEvaluateState:
     def test_report_fields_populated(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         evaluation = experiment.evaluate_state(result.state, config, source, target,
                                                dataset.target_hidden_labels)
@@ -65,7 +65,7 @@ class TestEvaluateState:
 
     def test_variance_uses_normalized_embeddings(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         evaluation = experiment.evaluate_state(result.state, config, source, target,
                                                dataset.target_hidden_labels)
@@ -75,7 +75,7 @@ class TestEvaluateState:
 
     def test_without_hidden_labels_degrades_gracefully(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         evaluation = experiment.evaluate_state(result.state, config, source, target,
                                                target_hidden_labels=None)
@@ -88,7 +88,7 @@ class TestEvaluateState:
 
     def test_eval_deterministic(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         e1 = experiment.evaluate_state(result.state, config, source, target,
                                        dataset.target_hidden_labels)
@@ -99,7 +99,7 @@ class TestEvaluateState:
 
     def test_rank_scores_align_with_metrics_module(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         evaluation = experiment.evaluate_state(result.state, config, source, target,
                                                dataset.target_hidden_labels)
@@ -110,7 +110,7 @@ class TestEvaluateState:
     @pytest.mark.parametrize("missing", [None, 3], ids=["full set", "class 3 uninitialized"])
     def test_prototype_cosines_are_the_training_geometry(self, small_setup, missing):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         state = adapt.run_experiment(source, target, config).state
         protos = state.tgt_protos
         kept = {k: protos.get(k) for k in protos.initialized_classes() if k != missing}
@@ -124,7 +124,7 @@ class TestEvaluateState:
 
     def test_student_forwarded_once_per_domain(self, small_setup, monkeypatch):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         calls = []
         original = adapt.forward
@@ -143,7 +143,7 @@ class TestEvaluateState:
 
     def test_unknown_hidden_label_enters_no_target_table(self, small_setup):
         dataset, config = small_setup
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         hidden = dataset.target_hidden_labels.copy()
         pseudo = adapt.generate_pseudo_labels(result.state.teacher, target,
@@ -166,7 +166,7 @@ class TestEvaluateState:
     def test_probe_fits_on_the_extractor_column_space(self, monkeypatch):
         dataset = synthbench.generate(synthbench.DomainShiftSpec(dim=8, samples_per_class=40))
         config = adapt.TrainerConfig(warmup_steps=20, steps=5, feature_dim=32)
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         result = adapt.run_experiment(source, target, config)
         bases = []
         original = metrics._column_basis
@@ -184,7 +184,7 @@ class TestEvaluateState:
     def test_peak_memory_about_two_embeddings(self, traced_peak):
         dataset = synthbench.generate(synthbench.DomainShiftSpec(samples_per_class=200))
         config = adapt.TrainerConfig(warmup_steps=50, steps=1)
-        source, target = dataset.training_view()
+        source, target = dataset.source, dataset.target_features
         state = adapt.init_state(config, source.dim, 8)
         state, _ = adapt.warmup_run(state, source, target, config)
         state = adapt.initialize_from_warmup(state, source, target, config)

@@ -272,32 +272,42 @@ def no_class(label):
     return lambda name: ("ParseError", f"{name}: data row 1 has label {label}")
 
 
-# (name, cell, outcome as a float cell, outcome as a label cell); an outcome is a function
-# of the dump's file name
+# (name, cell, outcome as a float cell, as a label cell, as an unread label cell); an outcome
+# is a function of the dump's file name
 HOSTILE_CELLS = [
-    ("empty", "", not_a_float, not_an_int),
-    ("nan", "nan", not_finite, not_an_int),
-    ("inf", "inf", not_finite, not_an_int),
-    ("-inf", "-inf", not_finite, not_an_int),
-    ("1e309", "1e309", not_finite, not_an_int),
-    ("0x10", "0x10", not_a_float, not_an_int),
-    ("' 1'", " 1", clean, clean),
-    ("1_000", "1_000", clean, no_class(1000)),
-    ("Arabic-Indic 3", "\u0663", clean, clean),
-    ("+", "+", not_a_float, not_an_int),
-    ("-0", "-0", clean, clean),
-    ("400 nines", NINES_400, not_finite, past_int64(NINES_400)),
-    ("-2", "-2", clean, no_class(-2)),
-    ("3.5", "3.5", clean, not_an_int),
-    ("1e18", "1e18", clean, not_an_int),
-    ("20 nines", NINES_20, clean, past_int64(NINES_20)),
+    ("empty", "", not_a_float, not_an_int, not_an_int),
+    ("nan", "nan", not_finite, not_an_int, not_an_int),
+    ("inf", "inf", not_finite, not_an_int, not_an_int),
+    ("-inf", "-inf", not_finite, not_an_int, not_an_int),
+    ("1e309", "1e309", not_finite, not_an_int, not_an_int),
+    ("0x10", "0x10", not_a_float, not_an_int, not_an_int),
+    ("' 1'", " 1", clean, clean, clean),
+    ("1_000", "1_000", clean, no_class(1000), clean),
+    ("Arabic-Indic 3", "\u0663", clean, clean, clean),
+    ("+", "+", not_a_float, not_an_int, not_an_int),
+    ("-0", "-0", clean, clean, clean),
+    ("400 nines", NINES_400, not_finite, past_int64(NINES_400), past_int64(NINES_400)),
+    ("-2", "-2", clean, no_class(-2), clean),
+    ("3.5", "3.5", clean, not_an_int, not_an_int),
+    ("1e18", "1e18", clean, not_an_int, not_an_int),
+    ("20 nines", NINES_20, clean, past_int64(NINES_20), past_int64(NINES_20)),
 ]
 # every dump cell that holds a hostile cell in data row 1: (file, column, what it holds)
 DUMP_CELLS = [
     ("target.csv", 2, "feature"), ("source.csv", 0, "label"),
     ("source.csv", 1, "score"), ("source.csv", 2, "feature"), ("target.csv", 1, "score"),
     ("target_hidden.csv", 0, "label"), ("target_hidden.csv", 1, "score"),
+    ("target.csv", 0, "label"), ("target_hidden.csv", 2, "feature"),
 ]
+
+
+def dump_outcome(dump, kind, as_float, as_label, as_unread_label):
+    """The outcome of a hostile ``kind`` cell of ``dump``; ``target.csv``'s labels are
+    parsed as int64 and otherwise unread."""
+    if kind != "label":
+        return as_float(dump)
+    return (as_unread_label if dump == "target.csv" else as_label)(dump)
+
 
 ROWS = {
     "gen source_std 2^1100":
@@ -412,8 +422,8 @@ ROWS = {
     "train source dump with a zero feature row without warm-up":
         (dumps_with({"source.csv": first_row_zero}, warmup_steps=0), None, None),
     **{f"eval external {dump} {kind} cell {name}":
-       (external_cell(dump, column, cell), *(as_label if kind == "label" else as_float)(dump))
-       for dump, column, kind in DUMP_CELLS for name, cell, as_float, as_label in HOSTILE_CELLS},
+       (external_cell(dump, column, cell), *dump_outcome(dump, kind, *outcomes))
+       for dump, column, kind in DUMP_CELLS for name, cell, *outcomes in HOSTILE_CELLS},
 }
 
 

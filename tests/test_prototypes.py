@@ -43,15 +43,15 @@ class TestInitializePrototypes:
     def test_below_threshold_stays_uninitialized(self):
         batch = make_batch([[1.0, 0.0]], [0], [0.5])
         pset = initialize_prototypes(batch, 0.8, "target", 2)
-        assert not pset.is_initialized(0)
-        assert not pset.is_initialized(1)
+        assert 0 not in pset.initialized_classes()
+        assert 1 not in pset.initialized_classes()
         with pytest.raises(UninitializedPrototype):
             pset.get(0)
 
     def test_threshold_is_inclusive(self):
         batch = make_batch([[1.0, 0.0]], [0], [0.8])
         pset = initialize_prototypes(batch, 0.8, "target", 1)
-        assert pset.is_initialized(0)
+        assert 0 in pset.initialized_classes()
 
     def test_empty_batch(self):
         batch = make_batch(np.empty((0, 2)), np.empty(0, dtype=int), np.empty(0))

@@ -102,6 +102,18 @@ def test_structure_text_or_integer_differences_fail(tmp_path, capsys, edits, whe
     assert where is None or where in mismatches[0]
 
 
+@pytest.mark.parametrize("scatter, code, line", [
+    (SCATTER, 1, "MISMATCH  rank_scatter.csv.mirror: differs beside an identical "
+                 "rank_scatter.csv"),
+    (SCATTER.replace("0.75", "0.7500000000000001"), 0, "differs  rank_scatter.csv.mirror"),
+], ids=["beside an identical csv", "beside a drifted csv"])
+def test_mirror_differs(tmp_path, capsys, scatter, code, line):
+    a = tree(tmp_path / "a", **{"rank_scatter.csv.mirror": "mirror 0\n"})
+    b = tree(tmp_path / "b", scatter=scatter, **{"rank_scatter.csv.mirror": "mirror 1\n"})
+    assert run_drift.main([str(a), str(b)]) == code
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_nan_matches_nan(tmp_path, capsys):
     # the files differ in one float each, so the nans beside it are compared too
     a = tree(tmp_path / "a", scatter="x,y\n,1.0\n")

@@ -102,13 +102,6 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             small_spec(source_means=np.zeros((2, 2)))
 
-    def test_training_view_hides_labels(self):
-        pair = generate(small_spec())
-        source, target = pair.training_view()
-        assert isinstance(source, LabeledBatch)
-        assert target.shape == pair.target_features.shape
-
-
 
 class TestSpecRanges:
     """Each ranged field's boundary values, the non-finite numbers and the error type."""
@@ -541,6 +534,16 @@ class TestSaveRelabeled:
         with pytest.raises(IoError, match="cannot read"):
             synthbench.save_relabeled(tmp_path / "hidden.csv", tmp_path / "absent.csv", [0])
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_utf8_base_raises_parse_error(self, tmp_path):
+        base_path = tmp_path / "target.csv"
+        base_path.write_bytes(b"label,score,f0\n-1,-1.0,0.5\n-1,-1.0,\xff\n")
+        path = tmp_path / "target_hidden.csv"
+        synthbench.write_text(path, "old\n")
+        with pytest.raises(ParseError, match="target.csv: not UTF-8 text"):
+            synthbench.save_relabeled(path, base_path, [0, 1])
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv", "target_hidden.csv"]
 
     def test_peak_memory(self, tmp_path, traced_peak):
         batch = generate(small_spec(dim=32, samples_per_class=2200)).source  # 6,600 rows

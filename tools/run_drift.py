@@ -10,9 +10,11 @@ relative path. It prints one line per file:
 * ``drift R``    a ``.csv`` or ``.json`` file whose structure, text cells and
   integers match, and whose floats differ by at most R relative, at the named
   cell (``DRIFT`` when R is past ``REL_TOL``);
-* ``MISMATCH``   structure, a text cell or an integer differs, or a file is
-  only in one tree;
-* ``differs``    any other file (the SVG plots) whose bytes differ.
+* ``MISMATCH``   structure, a text cell or an integer differs, a file is
+  only in one tree, or a dump's ``.mirror`` differs beside its identical CSV
+  (a mirror holds the CSV's numbers, so it may drift only where they do);
+* ``differs``    any other file whose bytes differ: the SVG plots, and a
+  ``.mirror`` beside a CSV that differs too.
 
 A float's relative difference is |a - b| / max(|a|, |b|). A nan matches a
 nan, and an empty CSV cell is pacf's non-finite float, so it matches another
@@ -100,8 +102,8 @@ def _files(root: Path) -> set[Path]:
 def compare_trees(root_a: Path, root_b: Path) -> tuple[list[str], bool]:
     """One report line per file of either tree, and whether the trees keep the contract."""
     files_a, files_b = _files(root_a), _files(root_b)
-    lines, ok = [], True
-    for rel in sorted(files_a | files_b):
+    lines, ok, same = [], True, set()
+    for rel in sorted(files_a | files_b):  # sorted: a dump's CSV comes before its mirror
         if rel not in files_a or rel not in files_b:
             side = root_a if rel in files_a else root_b
             lines.append(f"MISMATCH  {rel}: only in {side}")
@@ -109,7 +111,11 @@ def compare_trees(root_a: Path, root_b: Path) -> tuple[list[str], bool]:
             continue
         data_a, data_b = (root_a / rel).read_bytes(), (root_b / rel).read_bytes()
         if data_a == data_b:
+            same.add(rel)
             lines.append(f"identical  {rel}")
+        elif rel.suffix == ".mirror" and rel.with_suffix("") in same:
+            lines.append(f"MISMATCH  {rel}: differs beside an identical {rel.with_suffix('')}")
+            ok = False
         elif rel.suffix not in (".csv", ".json"):
             lines.append(f"differs  {rel}")
         else:
